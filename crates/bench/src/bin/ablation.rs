@@ -1,11 +1,10 @@
-//! Ablation benches for the design choices behind the §5 flow:
+//! Prints the ablations of the design choices behind the §5 flow, on
+//! `iir6` at batch depth `n = 7`:
 //!
 //! (a) MCM pairwise matching vs naive per-constant CSD decomposition,
 //! (b) Horner restructuring on vs off at a fixed unfolding depth,
 //! (c) balanced-tree vs chain association (critical-path effect),
 //! (d) triviality class {0, ±1} vs {0, ±1, ±2^k}.
-
-#![allow(clippy::expect_used)] // bench harness: a failed precondition should abort loudly
 
 use lintra::dfg::{build, OpTiming};
 use lintra::linsys::count::{op_count, TrivialityRule};
@@ -13,16 +12,15 @@ use lintra::linsys::unfold;
 use lintra::mcm::{naive_cost, synthesize, Recoding};
 use lintra::suite::by_name;
 use lintra::transform::horner::HornerForm;
-use lintra::transform::mcm_pass::{expand_multiplications, McmPassConfig};
-use lintra_bench::timing::bench;
-use std::hint::black_box;
+use lintra::{ErrorClass, LintraError};
 
-fn ablation_report() {
-    let d = by_name("iir6").expect("benchmark exists");
+fn main() -> Result<(), LintraError> {
+    let d = by_name("iir6")
+        .ok_or_else(|| LintraError::new(ErrorClass::Validation, "VAL-CONFIG", "no design iir6"))?;
     let n = 7u32;
 
     // (a) MCM vs naive CSD on the Horner state constants.
-    let hf = HornerForm::new(&d.system, n).expect("iir6 is stable");
+    let hf = HornerForm::new(&d.system, n)?;
     let mut naive_total = 0usize;
     let mut shared_total = 0usize;
     for j in 0..d.system.num_states() {
@@ -37,14 +35,12 @@ fn ablation_report() {
         naive_total += naive_cost(&q, Recoding::Csd).adds;
         shared_total += synthesize(&q, Recoding::Csd).adds();
     }
-    println!("\n=== Ablations (iir6, n = {n}) ===");
+    println!("=== Ablations (iir6, n = {n}) ===");
     println!("(a) state-constant adds: naive CSD {naive_total}, pairwise-matched {shared_total}");
 
     // (b) Horner vs direct unfolding at the same depth.
-    let direct = build::from_unfolded(&unfold(&d.system, n).expect("iir6 is stable"))
-        .expect("valid graph")
-        .op_counts();
-    let horner = hf.to_dfg().expect("valid graph").op_counts();
+    let direct = build::from_unfolded(&unfold(&d.system, n)?)?.op_counts();
+    let horner = hf.to_dfg()?.op_counts();
     println!(
         "(b) ops per batch: direct unfold {} mul {} add; Horner {} mul {} add",
         direct.muls, direct.adds, horner.muls, horner.adds
@@ -58,7 +54,7 @@ fn ablation_report() {
         t_add: 1.0,
         t_shift: 0.0,
     };
-    let g = build::from_state_space(&d.system).expect("valid graph");
+    let g = build::from_state_space(&d.system)?;
     let balanced_cp = g.critical_path(&t);
     let widest = (d.system.num_states() + d.system.num_inputs()) as f64;
     let chain_cp = t.t_mul + (widest - 1.0) * t.t_add;
@@ -71,25 +67,5 @@ fn ablation_report() {
         "(d) triviality {{0,±1}}: {} muls; {{0,±1,±2^k}}: {} muls + {} shifts",
         plain.muls, pow2.muls, pow2.shifts
     );
-}
-
-fn main() {
-    ablation_report();
-
-    let d = by_name("iir6").expect("benchmark exists");
-    let hf = HornerForm::new(&d.system, 7).expect("iir6 is stable");
-    let g = hf.to_dfg().expect("valid graph");
-    bench("ablation/horner_build", || {
-        black_box(
-            HornerForm::new(&d.system, 7)
-                .map_err(lintra::LintraError::from)
-                .and_then(|hf| hf.to_dfg().map_err(Into::into)),
-        )
-    });
-    bench("ablation/direct_unfold_build", || {
-        black_box(unfold(&d.system, 7).map(|u| build::from_unfolded(&u)))
-    });
-    bench("ablation/mcm_pass", || {
-        black_box(expand_multiplications(&g, McmPassConfig::default()))
-    });
+    Ok(())
 }

@@ -1,24 +1,14 @@
 //! Regenerates Table 3: power reduction with unfolding plus multiple
 //! processors (`N = R`, measured schedule speedups), side by side with the
-//! single-processor columns of Table 2. Pass `--jobs <N>` to fan the suite
-//! out over the parallel sweep engine (same output, bit for bit).
+//! single-processor columns of Table 2. The suite fans out over one engine
+//! worker per core.
 
 use lintra::engine::ThreadPool;
-use lintra_bench::{render::render_table3, table3_rows, table3_rows_par};
+use lintra_bench::{render::render_table3, table3_rows_engine, SuiteCaches};
 
 fn main() -> Result<(), lintra::LintraError> {
-    let args: Vec<String> = std::env::args().collect();
     let v0 = 3.3;
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-
-    let rows = match jobs {
-        Some(n) => table3_rows_par(v0, &ThreadPool::new(n))?,
-        None => table3_rows(v0)?,
-    };
+    let (rows, _) = table3_rows_engine(v0, &ThreadPool::auto(), &SuiteCaches::new())?;
     print!("{}", render_table3(&rows, v0));
     Ok(())
 }

@@ -2,11 +2,11 @@
 //! transformation ordering (unfold → generalized Horner → MCM), with the
 //! improvement factors and suite average/median. Voltage is conservatively
 //! clamped at 1.1 V, as in the paper. Pass `--verbose` to also print the
-//! paper's worked MCM example, and `--jobs <N>` to fan the suite out over
-//! the parallel sweep engine (same output, bit for bit).
+//! paper's worked MCM example. The suite fans out over one engine worker
+//! per core.
 
 use lintra::engine::ThreadPool;
-use lintra_bench::{render::render_table4, table4_rows, table4_rows_par};
+use lintra_bench::{render::render_table4, table4_rows_engine, v0_arg, SuiteCaches};
 
 fn main() -> Result<(), lintra::LintraError> {
     let args: Vec<String> = std::env::args().collect();
@@ -14,22 +14,12 @@ fn main() -> Result<(), lintra::LintraError> {
     // The paper does not print Table 4's initial voltage; 3.3 V reproduces
     // its reported improvement scale (average ~x30). Use --v0 5.0 for the
     // high-voltage variant.
-    let v0 = args
-        .iter()
-        .position(|a| a == "--v0")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(3.3);
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-
-    let rows = match jobs {
-        Some(n) => table4_rows_par(v0, &ThreadPool::new(n))?,
-        None => table4_rows(v0)?,
+    let Some(v0) = v0_arg(&args) else {
+        eprintln!("usage: table4 [--v0 VOLTS] [--verbose]: --v0 expects a positive voltage");
+        std::process::exit(2);
     };
+
+    let (rows, _) = table4_rows_engine(v0, &ThreadPool::auto(), &SuiteCaches::new())?;
     print!("{}", render_table4(&rows, v0));
 
     if verbose {

@@ -1,57 +1,32 @@
 //! Regenerates the §2 phenomenon behind EQ 4/5: per-sample operation
 //! counts first fall with unfolding, bottom out at `i_opt`, then rise.
-//! Prints one CSV block per design plus a dense reference. Pass
-//! `--jobs <N>` to fan the designs out over the parallel sweep engine
-//! (same CSV, bit for bit — each worker unfolds incrementally through a
-//! `SweepCache`).
+//! Prints one CSV block per design plus a dense reference. The designs
+//! fan out over one engine worker per core, each unfolding incrementally
+//! through its own `SweepCache`.
 
 use lintra::engine::{SweepCache, ThreadPool};
 use lintra::linsys::count::{dense_iopt, dense_ops_per_sample};
 use lintra::suite::suite;
 use lintra::LintraError;
-use lintra_bench::{unfold_sweep, unfold_sweep_cached};
+use lintra_bench::unfold_sweep_cached;
 
 fn main() -> Result<(), lintra::LintraError> {
-    let args: Vec<String> = std::env::args().collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok());
-
     let designs = suite();
-    let depths: Vec<u32> = designs
+    let items: Vec<_> = designs
         .iter()
         .map(|d| {
             let (p, q, r) = d.dims();
             let iopt = dense_iopt(p as u64, q as u64, r as u64, 1.0, 1.0);
-            (3 * iopt + 4).min(40) as u32
+            (d.clone(), (3 * iopt + 4).min(40) as u32)
         })
         .collect();
-
-    let sweeps: Vec<Vec<(u32, f64, f64)>> = match jobs {
-        Some(n) => {
-            let pool = ThreadPool::new(n);
-            let items: Vec<_> = designs
-                .iter()
-                .cloned()
-                .zip(depths.iter().copied())
-                .collect();
-            let results = pool.map(items, |(d, max_i)| {
-                let mut cache = SweepCache::new(&d.system);
-                unfold_sweep_cached(max_i, &mut cache)
-            });
-            results
-                .into_iter()
-                .map(|r| r.map_err(LintraError::from)?)
-                .collect::<Result<_, LintraError>>()?
-        }
-        None => designs
-            .iter()
-            .zip(&depths)
-            .map(|(d, &max_i)| unfold_sweep(d, max_i))
-            .collect::<Result<_, _>>()?,
-    };
+    let sweeps = ThreadPool::auto()
+        .map(items, |(d, max_i)| {
+            unfold_sweep_cached(max_i, &mut SweepCache::new(&d.system))
+        })
+        .into_iter()
+        .map(|r| r.map_err(LintraError::from)?)
+        .collect::<Result<Vec<_>, LintraError>>()?;
 
     println!("# Per-sample operation counts vs unfolding factor (EQ 4/5)");
     for (d, rows) in designs.iter().zip(&sweeps) {

@@ -1,10 +1,10 @@
-//! A minimal JSON writer/parser for the bench-trajectory reports.
+//! A minimal JSON writer/parser for the wire protocol and the
+//! benchmark's reports.
 //!
-//! `BENCH_2.json` needs structured output and the smoke check needs to
-//! read it back; pulling in serde for that would break the workspace's
-//! no-crates-io-dependencies rule, so this module implements the small
-//! subset required: objects, arrays, strings (with escape handling),
-//! finite numbers, booleans, and null.
+//! Both need structured output and read it back; pulling in serde for
+//! that would break the workspace's no-crates-io-dependencies rule, so
+//! this module implements the small subset required: objects, arrays,
+//! strings (with escape handling), finite numbers, booleans, and null.
 
 use std::collections::BTreeMap;
 use std::fmt;

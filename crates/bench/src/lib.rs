@@ -1,18 +1,17 @@
-//! Shared row generators for the table-reproduction binaries and the
-//! timing benchmarks — one function per paper table/figure so the `bin`
-//! targets and the `bench` targets print exactly the same numbers.
+//! Shared row generators for the table-reproduction binaries, the CLI,
+//! the service and the `lintra-benchmark` harness — one function per paper
+//! table/figure, so every surface prints exactly the same numbers. The
+//! suite tables fan out over a [`ThreadPool`] and are served by a
+//! [`SuiteCaches`] registry; "sequential" is a 1-worker pool.
 
 pub mod json;
 pub mod render;
-pub mod report;
-pub mod timing;
 pub mod wire;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lintra::engine::{CacheStats, SweepCache, ThreadPool};
 use lintra::linsys::count::{op_count, TrivialityRule};
-use lintra::linsys::unfold;
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, TechConfig};
 use lintra::power::VoltageModel;
@@ -73,26 +72,6 @@ pub struct Table2Row {
     pub result: single::SingleProcessorResult,
 }
 
-/// Table 2: unfolding-driven voltage–throughput trade-off on one
-/// processor.
-///
-/// # Errors
-///
-/// Propagates optimizer failures as a classified [`LintraError`].
-pub fn table2_rows(initial_voltage: f64) -> Result<Vec<Table2Row>, LintraError> {
-    let tech = TechConfig::dac96(initial_voltage);
-    let mut rows = Vec::new();
-    for d in suite() {
-        rows.push(Table2Row {
-            name: d.name,
-            dims: d.dims(),
-            result: single::optimize(&d.system, &tech)
-                .map_err(|e| LintraError::from(e).context(format!("design {}", d.name)))?,
-        });
-    }
-    Ok(rows)
-}
-
 /// One row of Table 3 (multiple processors).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
@@ -104,26 +83,6 @@ pub struct Table3Row {
     pub multi: multi::MultiProcessorResult,
 }
 
-/// Table 3: unfolding plus `N = R` processors.
-///
-/// # Errors
-///
-/// Propagates optimizer failures as a classified [`LintraError`].
-pub fn table3_rows(initial_voltage: f64) -> Result<Vec<Table3Row>, LintraError> {
-    let tech = TechConfig::dac96(initial_voltage);
-    let mut rows = Vec::new();
-    for d in suite() {
-        rows.push(Table3Row {
-            name: d.name,
-            single: single::optimize(&d.system, &tech)
-                .map_err(|e| LintraError::from(e).context(format!("design {}", d.name)))?,
-            multi: multi::optimize(&d.system, &tech, ProcessorSelection::StatesCount)
-                .map_err(|e| LintraError::from(e).context(format!("design {}", d.name)))?,
-        });
-    }
-    Ok(rows)
-}
-
 /// One row of Table 4 (ASIC flow).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
@@ -131,25 +90,6 @@ pub struct Table4Row {
     pub name: &'static str,
     /// The ASIC flow result.
     pub result: asic::AsicResult,
-}
-
-/// Table 4: energy per sample before/after unfold → Horner → MCM.
-///
-/// # Errors
-///
-/// Propagates optimizer failures as a classified [`LintraError`].
-pub fn table4_rows(initial_voltage: f64) -> Result<Vec<Table4Row>, LintraError> {
-    let tech = TechConfig::dac96(initial_voltage);
-    let cfg = asic::AsicConfig::default();
-    let mut rows = Vec::new();
-    for d in suite() {
-        rows.push(Table4Row {
-            name: d.name,
-            result: asic::optimize(&d.system, &tech, &cfg)
-                .map_err(|e| LintraError::from(e).context(format!("design {}", d.name)))?,
-        });
-    }
-    Ok(rows)
 }
 
 /// One row of the equality-saturation comparison: the fixed §5 script
@@ -163,72 +103,13 @@ pub struct EgraphRow {
     pub result: saturate::SaturateResult,
 }
 
-/// Equality-saturation search over every suite design: extracted energy
-/// next to the fixed §5 script's energy, at the script's own operating
-/// point. By construction `result.vs_script() ≥ 1` for every row.
-///
-/// # Errors
-///
-/// Propagates optimizer failures as a classified [`LintraError`].
-pub fn egraph_rows(initial_voltage: f64) -> Result<Vec<EgraphRow>, LintraError> {
-    let tech = TechConfig::dac96(initial_voltage);
-    let cfg = saturate::SaturateConfig::default();
-    let mut rows = Vec::new();
-    for d in suite() {
-        rows.push(EgraphRow {
-            name: d.name,
-            result: saturate::optimize(&d.system, &tech, &cfg)
-                .map_err(|e| LintraError::from(e).context(format!("design {}", d.name)))?,
-        });
-    }
-    Ok(rows)
-}
-
-/// Parallel [`egraph_rows`] (see [`table2_rows_engine`] for the
-/// contract).
-///
-/// # Errors
-///
-/// Identical to [`egraph_rows`]; additionally reports a worker panic as
-/// a resource-class error.
-pub fn egraph_rows_engine(
-    initial_voltage: f64,
-    pool: &ThreadPool,
-    caches: &SuiteCaches,
-) -> Result<(Vec<EgraphRow>, CacheStats), LintraError> {
-    let tech = TechConfig::dac96(initial_voltage);
-    let cfg = saturate::SaturateConfig::default();
-    suite_fanout(pool, caches, |d, cache| {
-        Ok(EgraphRow {
-            name: d.name,
-            result: saturate::optimize_cached(&d.system, &tech, &cfg, cache)?,
-        })
-    })
-}
-
 /// One design's unfolding sweep: `(i, muls/sample, adds/sample)` per
 /// unfolding factor.
 pub type SweepRow = Vec<(u32, f64, f64)>;
 
 /// The §2 phenomenon: per-sample operation counts of one design across an
-/// unfolding sweep (`(i, muls/sample, adds/sample)`).
-/// # Errors
-///
-/// Propagates unfolding failures (unstable system).
-pub fn unfold_sweep(design: &Design, max_i: u32) -> Result<SweepRow, LintraError> {
-    let mut out = Vec::new();
-    for i in 0..=max_i {
-        let u = unfold(&design.system, i)?;
-        let c = op_count(&u.system, TrivialityRule::ZeroOne);
-        let n = (i + 1) as f64;
-        out.push((i, c.muls as f64 / n, c.adds as f64 / n));
-    }
-    Ok(out)
-}
-
-/// [`unfold_sweep`] with every step served by the incremental
-/// [`SweepCache`] (bit-identical unfolded systems, so bit-identical
-/// per-sample counts).
+/// unfolding sweep (`(i, muls/sample, adds/sample)`), every step served by
+/// the design's incremental [`SweepCache`].
 ///
 /// # Errors
 ///
@@ -244,14 +125,14 @@ pub fn unfold_sweep_cached(max_i: u32, cache: &mut SweepCache) -> Result<SweepRo
     Ok(out)
 }
 
-/// One persistent [`SweepCache`] per suite design, shared across bench
-/// entries and timing repetitions.
+/// One persistent [`SweepCache`] per suite design, shared across the
+/// tables, the e-graph suite and repeated calls.
 ///
 /// The tables and the e-graph suite all sweep the same eight designs, and
 /// each optimizer pass asks for unfold chains that are prefixes of chains
 /// another pass already built — so keying the caches by *design* (instead
-/// of rebuilding one per generator call) turns repeat entries and warm
-/// timing repetitions into pure hits. Each design's cache sits behind its
+/// of rebuilding one per generator call) turns Table 3's §3 search (Table
+/// 2's, again) and repeated calls into pure hits. Each design's cache sits behind its
 /// own mutex, so the per-design fan-out never contends: two workers only
 /// share a lock if they are somehow handed the same design.
 pub struct SuiteCaches {
@@ -302,9 +183,9 @@ impl Default for SuiteCaches {
 /// behind quick ones (LPT scheduling; the suite has one dominant entry,
 /// and with it submitted last a second worker spends most of the run
 /// idle). Results are still merged *in suite order*, so row order, and
-/// which design's error surfaces when several fail, are exactly those of
-/// the sequential `for d in suite()` loop (the deterministic merge of the
-/// engine's determinism contract). A worker panic surfaces as a
+/// which design's error surfaces when several fail, are those of a
+/// `for d in suite()` loop at every worker count (the deterministic merge
+/// of the engine's determinism contract). A worker panic surfaces as a
 /// resource-class [`LintraError`] naming the design. The returned
 /// statistics are the registry's counters accumulated *by this call* —
 /// a warm registry reports only the increment.
@@ -331,7 +212,7 @@ where
         Ok::<_, LintraError>(row)
     });
     // Tag each result with its suite index and sort back: first error in
-    // suite order wins, exactly as in the sequential loop.
+    // suite order wins.
     let mut tagged: Vec<(usize, Result<T, LintraError>)> = results
         .into_iter()
         .zip(order)
@@ -350,31 +231,17 @@ where
     Ok((rows, caches.stats().since(before)))
 }
 
-/// The §2 unfolding sweep over every suite design, fanned out over the
-/// pool with each design served by its persistent cache — the parallel,
-/// registry-backed sibling of calling [`unfold_sweep_cached`] per design.
+/// Table 2: unfolding-driven voltage–throughput trade-off on one
+/// processor. One sweep point per design, the optimizer search served by
+/// the design's persistent cache in `caches`. Returns the rows plus the
+/// cache counters this call accumulated. The rows are bit-identical at
+/// every worker count and on a warm or cold registry (asserted by
+/// `tests/parallel_equivalence.rs`).
 ///
 /// # Errors
 ///
-/// Propagates unfolding failures; reports a worker panic as a
-/// resource-class error.
-pub fn sweep_rows_engine(
-    max_i: u32,
-    pool: &ThreadPool,
-    caches: &SuiteCaches,
-) -> Result<(Vec<SweepRow>, CacheStats), LintraError> {
-    suite_fanout(pool, caches, |_, cache| unfold_sweep_cached(max_i, cache))
-}
-
-/// Parallel [`table2_rows`]: one sweep point per design, optimizer search
-/// served by the design's persistent cache in `caches`. Returns the rows
-/// plus the cache counters this call accumulated. Bit-identical rows to
-/// the sequential generator (asserted by `tests/parallel_equivalence.rs`).
-///
-/// # Errors
-///
-/// Identical to [`table2_rows`]; additionally reports a worker panic as a
-/// resource-class error.
+/// Propagates optimizer failures as a classified [`LintraError`] naming
+/// the design; reports a worker panic as a resource-class error.
 pub fn table2_rows_engine(
     initial_voltage: f64,
     pool: &ThreadPool,
@@ -390,12 +257,12 @@ pub fn table2_rows_engine(
     })
 }
 
-/// Parallel [`table3_rows`] (see [`table2_rows_engine`] for the contract).
+/// Table 3: unfolding plus `N = R` processors (see [`table2_rows_engine`]
+/// for the contract).
 ///
 /// # Errors
 ///
-/// Identical to [`table3_rows`]; additionally reports a worker panic as a
-/// resource-class error.
+/// Identical to [`table2_rows_engine`].
 pub fn table3_rows_engine(
     initial_voltage: f64,
     pool: &ThreadPool,
@@ -420,12 +287,12 @@ pub fn table3_rows_engine(
     })
 }
 
-/// Parallel [`table4_rows`] (see [`table2_rows_engine`] for the contract).
+/// Table 4: energy per sample before/after unfold → Horner → MCM (see
+/// [`table2_rows_engine`] for the contract).
 ///
 /// # Errors
 ///
-/// Identical to [`table4_rows`]; additionally reports a worker panic as a
-/// resource-class error.
+/// Identical to [`table2_rows_engine`].
 pub fn table4_rows_engine(
     initial_voltage: f64,
     pool: &ThreadPool,
@@ -441,40 +308,40 @@ pub fn table4_rows_engine(
     })
 }
 
-/// Parallel [`table2_rows`] without the statistics (drop-in replacement).
+/// Equality-saturation search over every suite design: extracted energy
+/// next to the fixed §5 script's energy, at the script's own operating
+/// point. By construction `result.vs_script() ≥ 1` for every row (see
+/// [`table2_rows_engine`] for the contract).
 ///
 /// # Errors
 ///
 /// Identical to [`table2_rows_engine`].
-pub fn table2_rows_par(
+pub fn egraph_rows_engine(
     initial_voltage: f64,
     pool: &ThreadPool,
-) -> Result<Vec<Table2Row>, LintraError> {
-    table2_rows_engine(initial_voltage, pool, &SuiteCaches::new()).map(|(rows, _)| rows)
+    caches: &SuiteCaches,
+) -> Result<(Vec<EgraphRow>, CacheStats), LintraError> {
+    let tech = TechConfig::dac96(initial_voltage);
+    let cfg = saturate::SaturateConfig::default();
+    suite_fanout(pool, caches, |d, cache| {
+        Ok(EgraphRow {
+            name: d.name,
+            result: saturate::optimize_cached(&d.system, &tech, &cfg, cache)?,
+        })
+    })
 }
 
-/// Parallel [`table3_rows`] without the statistics (drop-in replacement).
-///
-/// # Errors
-///
-/// Identical to [`table3_rows_engine`].
-pub fn table3_rows_par(
-    initial_voltage: f64,
-    pool: &ThreadPool,
-) -> Result<Vec<Table3Row>, LintraError> {
-    table3_rows_engine(initial_voltage, pool, &SuiteCaches::new()).map(|(rows, _)| rows)
-}
-
-/// Parallel [`table4_rows`] without the statistics (drop-in replacement).
-///
-/// # Errors
-///
-/// Identical to [`table4_rows_engine`].
-pub fn table4_rows_par(
-    initial_voltage: f64,
-    pool: &ThreadPool,
-) -> Result<Vec<Table4Row>, LintraError> {
-    table4_rows_engine(initial_voltage, pool, &SuiteCaches::new()).map(|(rows, _)| rows)
+/// The `--v0 <volts>` initial supply voltage from a bin's command line:
+/// 3.3 V when the flag is absent, `None` when its value is missing or not
+/// a positive number.
+pub fn v0_arg(args: &[String]) -> Option<f64> {
+    match args.iter().position(|a| a == "--v0") {
+        None => Some(3.3),
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|v| v.is_finite() && *v > 0.0),
+    }
 }
 
 /// Mean of a slice.
@@ -510,10 +377,27 @@ mod tests {
 
     #[test]
     fn tables_have_eight_rows() {
+        let pool = ThreadPool::new(2);
+        let caches = SuiteCaches::new();
         assert_eq!(table1_rows().len(), 8);
-        assert_eq!(table2_rows(3.3).unwrap().len(), 8);
-        assert_eq!(table3_rows(3.3).unwrap().len(), 8);
-        assert_eq!(table4_rows(5.0).unwrap().len(), 8);
+        assert_eq!(table2_rows_engine(3.3, &pool, &caches).unwrap().0.len(), 8);
+        assert_eq!(table3_rows_engine(3.3, &pool, &caches).unwrap().0.len(), 8);
+        assert_eq!(table4_rows_engine(5.0, &pool, &caches).unwrap().0.len(), 8);
+    }
+
+    #[test]
+    fn v0_arg_defaults_and_rejects_bad_values() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(v0_arg(&args(&["table2"])), Some(3.3));
+        assert_eq!(v0_arg(&args(&["table2", "--v0", "5.0"])), Some(5.0));
+        for bad in [
+            &["--v0", "abc"][..],
+            &["--v0", "-1"],
+            &["--v0", "nan"],
+            &["--v0"],
+        ] {
+            assert_eq!(v0_arg(&args(bad)), None, "{bad:?}");
+        }
     }
 
     #[test]

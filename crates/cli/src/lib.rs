@@ -10,9 +10,7 @@ use lintra::suite::{by_name, suite, Design};
 use lintra::{ErrorClass, LintraError};
 use lintra_bench::render::{render_table2, render_table3, render_table4};
 use lintra_bench::wire::{WireFailure, WireOp, WireRequest};
-use lintra_bench::{
-    table2_rows, table2_rows_par, table3_rows, table3_rows_par, table4_rows, table4_rows_par,
-};
+use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, SuiteCaches};
 use lintra_serve::{signal, Client, RetryPolicy, RouterConfig, ServerConfig};
 use std::fmt;
 use std::io::Write;
@@ -179,7 +177,7 @@ fn help(out: &mut impl Write) -> Result<(), CliError> {
          \x20 show <design>                 print a design's dimensions and stats\n\
          \x20 optimize <design> [--strategy single|multi|asic|egraph] [--v0 V] [--processors N] [--jobs N]\n\
          \x20 sweep <design> [--max I]      ops/sample vs unfolding factor\n\
-         \x20 tables [--v0 V] [--jobs N] [--seq]  regenerate paper Tables 2-4\n\
+         \x20 tables [--v0 V] [--jobs N]      regenerate paper Tables 2-4\n\
          \x20 mcm <c1> <c2> ... [--binary]  synthesize a shared shift-add network\n\
          \x20 serve [--addr A] [--jobs N] [--max-inflight N] [--chaos] [--journal-dir DIR]\n\
          \x20       [--journal-rotate-bytes T] [--replica-of P] [--peers A,B] [--epoch-dir DIR]\n\
@@ -217,7 +215,7 @@ fn help(out: &mut impl Write) -> Result<(), CliError> {
          \x20                               groups: blackouts, failovers, retry-budget and\n\
          \x20                               degradation invariants, all under virtual time\n\n\
          `--jobs N` fans work out over the parallel sweep engine; output is\n\
-         bit-identical to the sequential path."
+         bit-identical at every worker count."
     )?;
     Ok(())
 }
@@ -287,10 +285,8 @@ fn cmd_optimize(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 Some(n) => ProcessorSelection::SearchBest { max: n },
                 None => ProcessorSelection::StatesCount,
             };
-            let r = match parse_jobs(args)? {
-                Some(pool) => multi::optimize_with_pool(&d.system, &tech, selection, &pool)?,
-                None => multi::optimize(&d.system, &tech, selection)?,
-            };
+            let pool = parse_jobs(args)?.unwrap_or_else(|| ThreadPool::new(1));
+            let r = multi::optimize_with_pool(&d.system, &tech, selection, &pool)?;
             writeln!(out, "strategy: {} processors at {v0} V", r.processors)?;
             warn(out, &r.diagnostics)?;
             writeln!(
@@ -367,20 +363,13 @@ fn cmd_tables(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if !v0.is_finite() || v0 <= 0.0 {
         return Err(usage(format!("--v0 must be a positive voltage, got {v0}")));
     }
-    let seq = args.iter().any(|a| a == "--seq");
-    if seq && flag_value(args, "--jobs").is_some() {
-        return Err(usage("--seq and --jobs are mutually exclusive"));
-    }
-    let (t2, t3, t4) = if seq {
-        (table2_rows(v0)?, table3_rows(v0)?, table4_rows(v0)?)
-    } else {
-        let pool = parse_jobs(args)?.unwrap_or_else(ThreadPool::auto);
-        (
-            table2_rows_par(v0, &pool)?,
-            table3_rows_par(v0, &pool)?,
-            table4_rows_par(v0, &pool)?,
-        )
-    };
+    let pool = parse_jobs(args)?.unwrap_or_else(ThreadPool::auto);
+    // One registry for all three tables: Table 3's §3 search and Table 4's
+    // power chain reuse what Table 2 already built for each design.
+    let caches = SuiteCaches::new();
+    let (t2, _) = table2_rows_engine(v0, &pool, &caches)?;
+    let (t3, _) = table3_rows_engine(v0, &pool, &caches)?;
+    let (t4, _) = table4_rows_engine(v0, &pool, &caches)?;
     write!(out, "{}", render_table2(&t2, v0, false))?;
     writeln!(out)?;
     write!(out, "{}", render_table3(&t3, v0))?;
@@ -427,7 +416,7 @@ fn cmd_mcm(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 /// Positional (non-flag) arguments, skipping each value-taking flag's
 /// value so `--addr 127.0.0.1:80` does not masquerade as a positional.
 fn positionals(args: &[String]) -> Vec<&str> {
-    const BOOLEAN_FLAGS: [&str; 5] = ["--binary", "--seq", "--chaos", "--trace", "--no-hedge"];
+    const BOOLEAN_FLAGS: [&str; 4] = ["--binary", "--chaos", "--trace", "--no-hedge"];
     let mut found = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -1252,7 +1241,7 @@ mod tests {
     fn tables_parallel_output_is_bit_identical_to_sequential() {
         assert_eq!(
             run_ok(&["tables", "--jobs", "3"]),
-            run_ok(&["tables", "--seq"])
+            run_ok(&["tables", "--jobs", "1"])
         );
     }
 
@@ -1260,7 +1249,6 @@ mod tests {
     fn tables_rejects_bad_flags() {
         assert!(usage_msg(&["tables", "--jobs", "0"]).contains("--jobs"));
         assert!(usage_msg(&["tables", "--jobs", "abc"]).contains("--jobs"));
-        assert!(usage_msg(&["tables", "--seq", "--jobs", "2"]).contains("mutually exclusive"));
         assert!(usage_msg(&["tables", "--v0", "-1"]).contains("positive"));
     }
 

@@ -10,10 +10,9 @@
 use crate::{scale_or_fallback, DiagCode, Diagnostic, OptError, TechConfig};
 use lintra_dfg::{build, CostModel, CriticalPathCost, OpCounts, OpTiming};
 use lintra_engine::SweepCache;
-use lintra_linsys::{LinsysError, StateSpace};
+use lintra_linsys::StateSpace;
 use lintra_mcm::Recoding;
 use lintra_power::EnergyBreakdown;
-use lintra_transform::horner::HornerForm;
 use lintra_transform::mcm_pass::{expand_multiplications, McmPassConfig, McmPassReport};
 
 /// Configuration of the ASIC flow.
@@ -78,16 +77,13 @@ impl AsicResult {
 /// initial voltage; the transformed design must only close the (constant)
 /// feedback path within `n` sample periods, so the available slowdown is
 /// `n·CP_original/CP_feedback`.
-fn required_unfolding<H>(
+fn required_unfolding(
     sys: &StateSpace,
     tech: &TechConfig,
     cfg: &AsicConfig,
     diags: &mut Vec<Diagnostic>,
-    horner: &mut H,
-) -> Result<u32, OptError>
-where
-    H: FnMut(u32) -> Result<HornerForm, LinsysError>,
-{
+    cache: &mut SweepCache,
+) -> Result<u32, OptError> {
     let clock = CriticalPathCost { timing: cfg.timing };
     let base_cp = clock.graph_cost(&build::from_state_space(sys)?).max(1.0);
     let v0 = tech.initial_voltage;
@@ -103,14 +99,16 @@ where
     // depth (only A^n·S is in the cycle), so solve for n in closed form
     // from the depth at n = 1 and verify, bumping if the measured path at
     // the chosen depth differs by a rounding level.
-    let fb1 = horner(0)?
+    let fb1 = cache
+        .horner(0)?
         .to_dfg()?
         .feedback_critical_path(&cfg.timing)
         .max(1.0);
     let mut i = ((needed * fb1 / base_cp).ceil() as i64 - 1).max(0) as u32;
     loop {
         i = i.min(cfg.max_unfolding);
-        let fb = horner(i)?
+        let fb = cache
+            .horner(i)?
             .to_dfg()?
             .feedback_critical_path(&cfg.timing)
             .max(1.0);
@@ -146,13 +144,15 @@ pub fn optimize(
     tech: &TechConfig,
     cfg: &AsicConfig,
 ) -> Result<AsicResult, OptError> {
-    optimize_impl(sys, tech, cfg, &mut |i| HornerForm::new(sys, i))
+    optimize_cached(sys, tech, cfg, &mut SweepCache::new(sys))
 }
 
-/// [`optimize`] with every Horner restructuring served by the incremental
-/// power chain of a [`SweepCache`] — the unfolding search re-derives
-/// `A^n`/`C·A^k` dozens of times per design, and the cache computes each
-/// power exactly once. Bit-identical to [`optimize`] (asserted by the
+/// [`optimize`] with every Horner restructuring served by a caller-owned
+/// [`SweepCache`] — the unfolding search re-derives `A^n`/`C·A^k` dozens
+/// of times per design, and the cache computes each power exactly once.
+/// A warm cache returns exactly what a cold one does (the cache's Horner
+/// forms are checked against
+/// [`HornerForm::new`](lintra_transform::horner::HornerForm::new) by the
 /// differential test layer).
 ///
 /// # Errors
@@ -164,19 +164,7 @@ pub fn optimize_cached(
     cfg: &AsicConfig,
     cache: &mut SweepCache,
 ) -> Result<AsicResult, OptError> {
-    optimize_impl(sys, tech, cfg, &mut |i| cache.horner(i))
-}
-
-fn optimize_impl<H>(
-    sys: &StateSpace,
-    tech: &TechConfig,
-    cfg: &AsicConfig,
-    horner: &mut H,
-) -> Result<AsicResult, OptError>
-where
-    H: FnMut(u32) -> Result<HornerForm, LinsysError>,
-{
-    Ok(script_with_graphs(sys, tech, cfg, horner)?.result)
+    Ok(script_with_graphs(sys, tech, cfg, cache)?.result)
 }
 
 /// Everything [`optimize`] computes plus the intermediate graphs, so the
@@ -191,15 +179,12 @@ pub(crate) struct ScriptArtifacts {
     pub shifted: lintra_dfg::Dfg,
 }
 
-pub(crate) fn script_with_graphs<H>(
+pub(crate) fn script_with_graphs(
     sys: &StateSpace,
     tech: &TechConfig,
     cfg: &AsicConfig,
-    horner: &mut H,
-) -> Result<ScriptArtifacts, OptError>
-where
-    H: FnMut(u32) -> Result<HornerForm, LinsysError>,
-{
+    cache: &mut SweepCache,
+) -> Result<ScriptArtifacts, OptError> {
     let (p, q, r) = sys.dims();
     let mut diagnostics = Vec::new();
 
@@ -214,9 +199,9 @@ where
     });
 
     // Transformed design.
-    let unfolding = required_unfolding(sys, tech, cfg, &mut diagnostics, horner)?;
+    let unfolding = required_unfolding(sys, tech, cfg, &mut diagnostics, cache)?;
     let n = unfolding as u64 + 1;
-    let horner_dfg = horner(unfolding)?.to_dfg()?;
+    let horner_dfg = cache.horner(unfolding)?.to_dfg()?;
     let (shifted, mcm) = expand_multiplications(
         &horner_dfg,
         McmPassConfig {
@@ -344,19 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_horner_path_is_bit_identical_to_sequential() {
+    fn warm_cache_horner_path_is_bit_identical_to_cold() {
         let t = tech();
         let cfg = AsicConfig::default();
         for d in suite() {
-            let seq = optimize(&d.system, &t, &cfg).unwrap();
             let mut cache = SweepCache::new(&d.system);
-            let cached = optimize_cached(&d.system, &t, &cfg, &mut cache).unwrap();
-            assert_eq!(cached, seq, "{}", d.name);
+            let cold = optimize_cached(&d.system, &t, &cfg, &mut cache).unwrap();
             assert!(
                 cache.stats().hits > 0,
                 "{}: deep search should reuse powers",
                 d.name
             );
+            let warm = optimize_cached(&d.system, &t, &cfg, &mut cache).unwrap();
+            assert_eq!(warm, cold, "{}", d.name);
         }
     }
 

@@ -10,7 +10,7 @@
 use crate::{scale_or_fallback, Diagnostic, OptError, TechConfig};
 use lintra_dfg::build;
 use lintra_engine::{SweepCache, ThreadPool};
-use lintra_linsys::count::{best_unfolding, TrivialityRule};
+use lintra_linsys::count::TrivialityRule;
 use lintra_linsys::{unfold, StateSpace};
 use lintra_power::VoltageScaling;
 use lintra_sched::list_schedule;
@@ -95,54 +95,12 @@ pub fn optimize(
     tech: &TechConfig,
     selection: ProcessorSelection,
 ) -> Result<MultiProcessorResult, OptError> {
-    let cycles = tech.cycle_cost();
-    let choice = best_unfolding(sys, TrivialityRule::ZeroOne, cycles.w_mul, cycles.w_add)?;
-    let i = choice.unfolding;
-
-    let evaluate = |n: usize| -> Result<MultiProcessorResult, OptError> {
-        let base_graph = build::from_state_space(sys)?;
-        let base = list_schedule(&base_graph, 1, &tech.processor)?.length as f64;
-        let unfolded = build::from_unfolded(&unfold(sys, i as u32)?)?;
-        let len = list_schedule(&unfolded, n, &tech.processor)?.length as f64;
-        let per_sample = len / (i + 1) as f64;
-        let speedup = base / per_sample;
-        let mut diagnostics = Vec::new();
-        let scaling = scale_or_fallback(
-            &tech.voltage,
-            tech.initial_voltage,
-            speedup,
-            &mut diagnostics,
-        )?;
-        Ok(MultiProcessorResult {
-            unfolding: i,
-            processors: n,
-            speedup,
-            scaling,
-            base_cycles_per_sample: base,
-            cycles_per_sample: per_sample,
-            diagnostics,
-        })
-    };
-
-    match selection {
-        ProcessorSelection::StatesCount => evaluate(sys.num_states().max(1)),
-        ProcessorSelection::SearchBest { max } => {
-            let mut best: Option<MultiProcessorResult> = None;
-            for n in 1..=max {
-                let cand = evaluate(n)?;
-                best = fold_candidate(best, cand);
-            }
-            best.ok_or(OptError::Schedule(
-                lintra_sched::ScheduleError::NoProcessors,
-            ))
-        }
-    }
+    optimize_with_pool(sys, tech, selection, &ThreadPool::new(1))
 }
 
-/// The `SearchBest` tie-break, shared by the sequential loop and the
-/// parallel fold: an earlier (smaller-`n`) candidate wins ties, so folding
-/// pool results in ascending `n` order reproduces the sequential choice
-/// exactly.
+/// The `SearchBest` tie-break: an earlier (smaller-`n`) candidate wins
+/// ties, so folding pool results in ascending `n` order makes the choice
+/// independent of the worker count.
 fn fold_candidate(
     best: Option<MultiProcessorResult>,
     cand: MultiProcessorResult,
@@ -156,15 +114,14 @@ fn fold_candidate(
 /// [`optimize`] with the `N` sweep fanned out over the engine's
 /// [`ThreadPool`] and the unfolding analysis served by an incremental
 /// [`SweepCache`]. Candidates are evaluated concurrently, then folded in
-/// ascending `n` order with the same tie-break as the sequential loop, so
-/// the result is bit-identical to [`optimize`]'s (asserted by the
-/// differential test layer).
+/// ascending `n` order, so the result is bit-identical at every worker
+/// count (asserted by the differential test layer).
 ///
 /// # Errors
 ///
 /// Identical to [`optimize`], plus [`OptError::Engine`] if a sweep worker
-/// panics. When several `n` fail, the lowest `n`'s error is reported —
-/// the same one the sequential loop would hit first.
+/// panics. When several `n` fail, the lowest `n`'s error is reported,
+/// whatever the worker count.
 pub fn optimize_with_pool(
     sys: &StateSpace,
     tech: &TechConfig,
@@ -182,9 +139,8 @@ pub fn optimize_with_pool(
     let i = choice.unfolding;
 
     // Hoisted out of the per-n sweep: both graphs and the base schedule
-    // are n-independent. Build is deterministic, so sharing one graph
-    // across workers yields the very lengths the sequential path computes
-    // from its per-n rebuilds.
+    // are n-independent, and build is deterministic, so every worker
+    // schedules the same graph.
     let base_graph = build::from_state_space(sys)?;
     let base = list_schedule(&base_graph, 1, &tech.processor)?.length as f64;
     let unfolded = build::from_unfolded(&cache.unfolded(i as u32)?)?;

@@ -22,42 +22,8 @@ use crate::{DiagCode, Diagnostic, OptError, TechConfig};
 use lintra_dfg::build;
 use lintra_egraph::{EGraph, EgraphError, RuleSet, SaturationBudget, SaturationStats};
 use lintra_engine::SweepCache;
-use lintra_linsys::{unfold, LinsysError, StateSpace, UnfoldedSystem};
+use lintra_linsys::StateSpace;
 use lintra_power::EnergyBreakdown;
-use lintra_transform::horner::HornerForm;
-
-/// Source of the script's intermediate forms: the strategy needs both the
-/// Horner restructurings (for the unfolding search) and the plain
-/// unfolded system (to seed the e-graph). Routing both through one trait
-/// lets the cached path serve the unfold seed from the same power chain
-/// the Horner search just built instead of re-deriving it from scratch.
-trait ScriptForms {
-    fn horner(&mut self, i: u32) -> Result<HornerForm, LinsysError>;
-    fn unfolded(&mut self, i: u32) -> Result<UnfoldedSystem, LinsysError>;
-}
-
-/// From-scratch forms for the uncached entry point.
-struct FreshForms<'a>(&'a StateSpace);
-
-impl ScriptForms for FreshForms<'_> {
-    fn horner(&mut self, i: u32) -> Result<HornerForm, LinsysError> {
-        HornerForm::new(self.0, i)
-    }
-
-    fn unfolded(&mut self, i: u32) -> Result<UnfoldedSystem, LinsysError> {
-        unfold(self.0, i)
-    }
-}
-
-impl ScriptForms for &mut SweepCache {
-    fn horner(&mut self, i: u32) -> Result<HornerForm, LinsysError> {
-        SweepCache::horner(self, i)
-    }
-
-    fn unfolded(&mut self, i: u32) -> Result<UnfoldedSystem, LinsysError> {
-        SweepCache::unfolded(self, i)
-    }
-}
 
 /// Configuration of the equality-saturation strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,11 +115,11 @@ pub fn optimize(
     tech: &TechConfig,
     cfg: &SaturateConfig,
 ) -> Result<SaturateResult, OptError> {
-    optimize_impl(sys, tech, cfg, &mut FreshForms(sys))
+    optimize_cached(sys, tech, cfg, &mut SweepCache::new(sys))
 }
 
 /// [`optimize`] with the Horner restructurings *and* the unfolded
-/// e-graph seed served by an incremental [`SweepCache`], mirroring
+/// e-graph seed served by a caller-owned [`SweepCache`], mirroring
 /// [`crate::asic::optimize_cached`]. The unfold reuses the power chain
 /// the Horner search just built, so the seed costs only the coupling
 /// blocks the search did not touch.
@@ -167,20 +133,7 @@ pub fn optimize_cached(
     cfg: &SaturateConfig,
     cache: &mut SweepCache,
 ) -> Result<SaturateResult, OptError> {
-    let mut forms = cache;
-    optimize_impl(sys, tech, cfg, &mut forms)
-}
-
-fn optimize_impl<F>(
-    sys: &StateSpace,
-    tech: &TechConfig,
-    cfg: &SaturateConfig,
-    forms: &mut F,
-) -> Result<SaturateResult, OptError>
-where
-    F: ScriptForms,
-{
-    let art = script_with_graphs(sys, tech, &cfg.asic, &mut |i| forms.horner(i))?;
+    let art = script_with_graphs(sys, tech, &cfg.asic, cache)?;
     let script = art.result;
     let mut diagnostics = script.diagnostics.clone();
 
@@ -189,7 +142,7 @@ where
     // the §5 shift-add network. Rooting them in the same e-classes makes
     // each a candidate and lets the rule library recombine them.
     let (mut eg, roots) = EGraph::from_dfg(&art.horner_dfg)?;
-    let unfolded = build::from_unfolded(&forms.unfolded(script.unfolding)?)?;
+    let unfolded = build::from_unfolded(&cache.unfolded(script.unfolding)?)?;
     let unfolded_roots = eg.add_dfg(&unfolded)?;
     eg.union_roots(&roots, &unfolded_roots)?;
     let script_roots = eg.add_dfg(&art.shifted)?;
@@ -311,14 +264,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_path_is_bit_identical_to_sequential() {
+    fn warm_cache_path_is_bit_identical_to_cold() {
         let cfg = SaturateConfig::default();
         for name in ["dist", "iir5"] {
             let d = by_name(name).unwrap();
-            let seq = optimize(&d.system, &tech(), &cfg).unwrap();
+            let cold = optimize(&d.system, &tech(), &cfg).unwrap();
             let mut cache = SweepCache::new(&d.system);
-            let cached = optimize_cached(&d.system, &tech(), &cfg, &mut cache).unwrap();
-            assert_eq!(cached, seq, "{name}");
+            crate::asic::optimize_cached(&d.system, &tech(), &cfg.asic, &mut cache).unwrap();
+            let warm = optimize_cached(&d.system, &tech(), &cfg, &mut cache).unwrap();
+            assert_eq!(warm, cold, "{name}");
         }
     }
 }

@@ -11,10 +11,8 @@
 use crate::{scale_or_fallback, Diagnostic, OptError, TechConfig};
 use lintra_dfg::{CostModel, CycleCost, OpCounts};
 use lintra_engine::SweepCache;
-use lintra_linsys::count::{
-    best_unfolding, dense_iopt, dense_op_count, op_count, OpCount, TrivialityRule, UnfoldingChoice,
-};
-use lintra_linsys::{LinsysError, StateSpace};
+use lintra_linsys::count::{dense_iopt, dense_op_count, op_count, OpCount, TrivialityRule};
+use lintra_linsys::StateSpace;
 use lintra_power::VoltageScaling;
 
 /// Prices a linsys instruction census through the unified cycle model.
@@ -92,14 +90,14 @@ pub struct SingleProcessorResult {
 /// threshold is *not* an error: the optimizer degrades to the §3
 /// frequency-only fallback and records a diagnostic.
 pub fn optimize(sys: &StateSpace, tech: &TechConfig) -> Result<SingleProcessorResult, OptError> {
-    optimize_impl(sys, tech, |rule, wm, wa| best_unfolding(sys, rule, wm, wa))
+    optimize_cached(sys, tech, &mut SweepCache::new(sys))
 }
 
-/// [`optimize`] with the unfolding search served by an incremental
-/// [`SweepCache`] — the engine-backed path used by the parallel table
-/// drivers. The cache is bit-identical to the from-scratch unfolder, so
-/// the returned result compares `==` with [`optimize`]'s (asserted by the
-/// differential test layer).
+/// [`optimize`] with the unfolding search served by a caller-owned
+/// [`SweepCache`], so the suite drivers can share one cache per design
+/// across strategies. A warm cache returns exactly what a cold one does
+/// (asserted by the differential test layer against the from-scratch
+/// [`lintra_linsys::count::best_unfolding`]).
 ///
 /// # Errors
 ///
@@ -109,19 +107,6 @@ pub fn optimize_cached(
     tech: &TechConfig,
     cache: &mut SweepCache,
 ) -> Result<SingleProcessorResult, OptError> {
-    optimize_impl(sys, tech, |rule, wm, wa| {
-        lintra_engine::best_unfolding(cache, rule, wm, wa)
-    })
-}
-
-fn optimize_impl<F>(
-    sys: &StateSpace,
-    tech: &TechConfig,
-    search: F,
-) -> Result<SingleProcessorResult, OptError>
-where
-    F: FnOnce(TrivialityRule, f64, f64) -> Result<UnfoldingChoice, LinsysError>,
-{
     let (p, q, r) = sys.dims();
     let cycles = tech.cycle_cost();
     let (wm, wa) = (cycles.w_mul, cycles.w_add);
@@ -148,7 +133,7 @@ where
     };
 
     // Real coefficients.
-    let choice = search(TrivialityRule::ZeroOne, wm, wa)?;
+    let choice = lintra_engine::best_unfolding(cache, TrivialityRule::ZeroOne, wm, wa)?;
     let real = UnfoldingOutcome {
         ops_initial: op_count(sys, TrivialityRule::ZeroOne),
         unfolding: choice.unfolding,
@@ -260,13 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn cached_search_is_bit_identical_to_sequential() {
+    fn warm_cache_search_is_bit_identical_to_cold() {
         let tech = TechConfig::dac96(3.3);
         for d in suite() {
-            let seq = optimize(&d.system, &tech).unwrap();
+            let cold = optimize(&d.system, &tech).unwrap();
             let mut cache = SweepCache::new(&d.system);
-            let cached = optimize_cached(&d.system, &tech, &mut cache).unwrap();
-            assert_eq!(cached, seq, "{}", d.name);
+            cache.unfolded(cold.real.unfolding as u32 + 3).unwrap();
+            let warm = optimize_cached(&d.system, &tech, &mut cache).unwrap();
+            assert_eq!(warm, cold, "{}", d.name);
         }
     }
 

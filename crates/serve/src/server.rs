@@ -84,7 +84,7 @@ use lintra::{ErrorClass, LintraError};
 use lintra_bench::json::Json;
 use lintra_bench::render::{render_table2, render_table3, render_table4};
 use lintra_bench::wire::{WireFailure, WireOp, WireRequest, WireResponse};
-use lintra_bench::{table2_rows_par, table3_rows_par, table4_rows_par};
+use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, SuiteCaches};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
@@ -1373,12 +1373,15 @@ fn execute(
                 Some(reason) => Err(token_error(reason, stage)),
                 None => Ok(()),
             };
+            // One registry for all three tables, so Table 3 and Table 4
+            // reuse each design's chain that Table 2 built.
+            let caches = SuiteCaches::new();
             live(0)?;
-            let t2 = table2_rows_par(v0, &shared.pool)?;
+            let (t2, _) = table2_rows_engine(v0, &shared.pool, &caches)?;
             live(1)?;
-            let t3 = table3_rows_par(v0, &shared.pool)?;
+            let (t3, _) = table3_rows_engine(v0, &shared.pool, &caches)?;
             live(2)?;
-            let t4 = table4_rows_par(v0, &shared.pool)?;
+            let (t4, _) = table4_rows_engine(v0, &shared.pool, &caches)?;
             Ok(Json::obj([
                 ("table2", Json::Str(render_table2(&t2, v0, false))),
                 ("table3", Json::Str(render_table3(&t3, v0))),

@@ -22,7 +22,7 @@ use lintra_linsys::{LinsysError, StateSpace};
 use lintra_matrix::Matrix;
 
 /// The Horner-restructured form of an unfolded linear computation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HornerForm {
     /// Batch size `n` (unfolding factor + 1).
     pub batch: usize,

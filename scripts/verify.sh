@@ -33,14 +33,13 @@ timeout --kill-after=10 900 cargo test --release -p lintra-egraph -q
 timeout --kill-after=10 900 cargo test --release -p lintra \
   --test egraph_properties --test egraph_differential -q
 
-echo "== bench trajectory: scripts/bench.sh --smoke =="
-./scripts/bench.sh --smoke
-
-echo "== perf gate: egraph_suite sequential wall-clock budget =="
-# The smoke run just rewrote BENCH_2.json; the indexed match engine and
-# memoized MCM pass keep the sequential e-graph suite around ~1 s, so a
-# report over the 6 s budget is a hot-loop regression, not noise.
-./target/release/bench_report --perf-gate BENCH_2.json --budget-s 6.0
+echo "== benchmark: lintra-benchmark smoke (all four workloads) =="
+# The one performance harness. Its smoke test runs paper_suite,
+# synth_egraph, serve_light and routed_replicated end to end, including
+# the golden-table and never-worse-than-the-script checks. The harness
+# builds from its own committed Cargo.lock; lock-file drift fails here.
+cargo test --release --offline --manifest-path lintra-benchmark/Cargo.toml -q
+git diff --exit-code -- lintra-benchmark
 
 echo "== simulation: fixed-seed swarm smoke =="
 # 64 deterministic seeds of the replicated-cluster simulation; every

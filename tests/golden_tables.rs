@@ -2,12 +2,15 @@
 //!
 //! `tests/golden/table{2,3,4}.txt` are the committed reference renderings
 //! (generated by the `table{2,3,4}` binaries and identical to what the
-//! CLI `tables` command prints). Each test regenerates its table *through
-//! the parallel sweep engine* and diffs the text exactly — so a change to
-//! the optimizers, the renderers, or the engine's caching that moves any
-//! digit shows up as a failing diff, not a silent drift.
+//! CLI `tables` command prints). Each test regenerates its table through
+//! the engine's `table{2,3,4}_rows_engine` — the only suite path — and
+//! diffs the text exactly, so a change to the optimizers, the renderers,
+//! or the engine's caching that moves any digit shows up as a failing
+//! diff, not a silent drift. The `lintra-benchmark` harness checks the
+//! same files on every `paper_suite` pass.
 //!
-//! To refresh after an intentional change:
+//! To refresh after an intentional change (the bins run on one engine
+//! worker per core; the output is the same at every worker count):
 //!
 //! ```text
 //! cargo run --release -p lintra-bench --bin table2 > tests/golden/table2.txt
@@ -17,7 +20,7 @@
 
 use lintra::engine::ThreadPool;
 use lintra_bench::render::{render_table2, render_table3, render_table4};
-use lintra_bench::{table2_rows_par, table3_rows_par, table4_rows_par};
+use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, SuiteCaches};
 
 /// Line-by-line diff with context, so a golden failure pinpoints the row.
 fn assert_matches_golden(got: &str, golden: &str, name: &str) {
@@ -41,21 +44,21 @@ fn assert_matches_golden(got: &str, golden: &str, name: &str) {
 
 #[test]
 fn table2_matches_golden_snapshot() {
-    let rows = table2_rows_par(3.3, &ThreadPool::new(4)).unwrap();
+    let (rows, _) = table2_rows_engine(3.3, &ThreadPool::new(4), &SuiteCaches::new()).unwrap();
     let got = render_table2(&rows, 3.3, false);
     assert_matches_golden(&got, include_str!("golden/table2.txt"), "table2");
 }
 
 #[test]
 fn table3_matches_golden_snapshot() {
-    let rows = table3_rows_par(3.3, &ThreadPool::new(4)).unwrap();
+    let (rows, _) = table3_rows_engine(3.3, &ThreadPool::new(4), &SuiteCaches::new()).unwrap();
     let got = render_table3(&rows, 3.3);
     assert_matches_golden(&got, include_str!("golden/table3.txt"), "table3");
 }
 
 #[test]
 fn table4_matches_golden_snapshot() {
-    let rows = table4_rows_par(3.3, &ThreadPool::new(4)).unwrap();
+    let (rows, _) = table4_rows_engine(3.3, &ThreadPool::new(4), &SuiteCaches::new()).unwrap();
     let got = render_table4(&rows, 3.3);
     assert_matches_golden(&got, include_str!("golden/table4.txt"), "table4");
 }
