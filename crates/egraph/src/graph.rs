@@ -28,19 +28,25 @@ impl Id {
 /// `f64` bit patterns so hashing and equality are exact (`-0.0` and `0.0`
 /// are distinct shapes, as are distinct NaN payloads — though validated
 /// DFGs never contain non-finite constants).
+///
+/// An e-node is 16 bytes: leaf indices are `u32` (a DFG whose sample,
+/// channel or state index does not fit is refused by
+/// [`EGraph::add_dfg`]), so no variant outgrows `MulConst`'s `u64` + [`Id`].
+/// Every e-node is stored in its class, in the hashcons and in each
+/// child's parent list, so this size sets the e-graph's footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ENode {
     /// Primary input (sample offset within the batch, channel).
     Input {
         /// Sample offset within the processed batch.
-        sample: usize,
+        sample: u32,
         /// Input channel.
-        channel: usize,
+        channel: u32,
     },
     /// Previous-iteration state variable.
     StateIn {
         /// State index.
-        index: usize,
+        index: u32,
     },
     /// Literal constant (`f64::to_bits`).
     Const(u64),
@@ -57,6 +63,8 @@ pub enum ENode {
     /// A register; value passes through.
     Delay(Id),
 }
+
+const _: () = assert!(std::mem::size_of::<ENode>() == 16);
 
 impl ENode {
     /// Child e-classes, in operand order.
@@ -103,8 +111,13 @@ impl ENode {
     /// [`CostModel::node_cost`].
     pub fn to_kind(&self) -> NodeKind {
         match *self {
-            ENode::Input { sample, channel } => NodeKind::Input { sample, channel },
-            ENode::StateIn { index } => NodeKind::StateIn { index },
+            ENode::Input { sample, channel } => NodeKind::Input {
+                sample: sample as usize,
+                channel: channel as usize,
+            },
+            ENode::StateIn { index } => NodeKind::StateIn {
+                index: index as usize,
+            },
             ENode::Const(bits) => NodeKind::Const(f64::from_bits(bits)),
             ENode::Add(..) => NodeKind::Add,
             ENode::Sub(..) => NodeKind::Sub,
@@ -216,6 +229,18 @@ struct EClass {
     parents: Vec<(ENode, u32)>,
 }
 
+impl EClass {
+    /// Registers a parent entry. The list grows 1, 2, 4, … rather than
+    /// jumping to `Vec`'s first capacity of 4: most classes keep one or
+    /// two parents, and a saturation holds tens of thousands of classes.
+    fn push_parent(&mut self, entry: (ENode, u32)) {
+        if self.parents.len() == self.parents.capacity() {
+            self.parents.reserve_exact(self.parents.len().max(1));
+        }
+        self.parents.push(entry);
+    }
+}
+
 /// A hashconsed e-graph over [`ENode`] with congruence closure.
 #[derive(Debug, Clone, Default)]
 pub struct EGraph {
@@ -313,7 +338,7 @@ impl EGraph {
         }));
         for child in node.children().into_iter().flatten() {
             if let Some(c) = &mut self.classes[child.0 as usize] {
-                c.parents.push((node, id));
+                c.push_parent((node, id));
             }
         }
         self.memo.insert(node, id);
@@ -376,7 +401,7 @@ impl EGraph {
                 // found again the next time that class merges.
                 let ch = self.find_u(child);
                 if let Some(cl) = &mut self.classes[ch as usize] {
-                    cl.parents.push((canon, pc));
+                    cl.push_parent((canon, pc));
                 }
             }
         }
@@ -418,7 +443,8 @@ impl EGraph {
     ///
     /// [`EgraphError::Graph`] when the DFG fails validation and
     /// [`EgraphError::UnsupportedGraph`] when a sink node is used as a
-    /// predecessor.
+    /// predecessor or an input's sample or channel, or a state index, does
+    /// not fit in a `u32`.
     pub fn add_dfg(&mut self, g: &Dfg) -> Result<GraphRoots, EgraphError> {
         g.validate()?;
         let mut map: Vec<Option<Id>> = vec![None; g.len()];
@@ -432,11 +458,19 @@ impl EGraph {
                     detail: format!("node {} uses a sink node as a predecessor", id.0),
                 })
             };
+            let leaf_index = |what: &str, v: usize| -> Result<u32, EgraphError> {
+                u32::try_from(v).map_err(|_| EgraphError::UnsupportedGraph {
+                    detail: format!("node {}: {what} {v} does not fit in a u32", id.0),
+                })
+            };
             let added = match n.kind {
-                NodeKind::Input { sample, channel } => {
-                    Some(self.add(ENode::Input { sample, channel }))
-                }
-                NodeKind::StateIn { index } => Some(self.add(ENode::StateIn { index })),
+                NodeKind::Input { sample, channel } => Some(self.add(ENode::Input {
+                    sample: leaf_index("input sample", sample)?,
+                    channel: leaf_index("input channel", channel)?,
+                })),
+                NodeKind::StateIn { index } => Some(self.add(ENode::StateIn {
+                    index: leaf_index("state index", index)?,
+                })),
                 NodeKind::Const(c) => Some(self.add(ENode::Const(c.to_bits()))),
                 NodeKind::Add => {
                     let (a, b) = (child(0)?, child(1)?);
@@ -1224,6 +1258,57 @@ mod tests {
         };
         let ex = eg.extract(&roots, &OpCountCost).unwrap();
         ex.dfg.validate().unwrap();
+    }
+
+    #[test]
+    fn out_of_range_leaf_indices_are_refused_not_truncated() {
+        let too_big = u32::MAX as usize + 1;
+        let mut g = Dfg::new();
+        let x = g
+            .push(
+                NodeKind::Input {
+                    sample: too_big,
+                    channel: 0,
+                },
+                vec![],
+            )
+            .unwrap();
+        g.push(
+            NodeKind::Output {
+                sample: 0,
+                channel: 0,
+            },
+            vec![x],
+        )
+        .unwrap();
+        let err = EGraph::from_dfg(&g).unwrap_err();
+        assert!(
+            matches!(&err, EgraphError::UnsupportedGraph { detail } if detail.contains("input sample 4294967296")),
+            "{err}"
+        );
+        // The largest representable index still round-trips.
+        let mut g = Dfg::new();
+        let s = g
+            .push(
+                NodeKind::StateIn {
+                    index: u32::MAX as usize,
+                },
+                vec![],
+            )
+            .unwrap();
+        g.push(
+            NodeKind::StateOut {
+                index: u32::MAX as usize,
+            },
+            vec![s],
+        )
+        .unwrap();
+        let (eg, roots) = EGraph::from_dfg(&g).unwrap();
+        let ex = eg.extract(&roots, &OpCountCost).unwrap();
+        assert!(ex.dfg.iter().any(|(_, n)| n.kind
+            == NodeKind::StateIn {
+                index: u32::MAX as usize
+            }));
     }
 
     #[test]

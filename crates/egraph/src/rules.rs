@@ -569,6 +569,17 @@ fn csd_network(
     em.output_node(eg, base, 0, frac_bits)
 }
 
+/// Largest constant group [`mcm_share_sweep`] synthesizes a shared plan
+/// for. It sits above every group the §5 script's MCM pass builds on the
+/// suite (distinct quantized constants per driven variable): at most 58
+/// at the Table 4 unfolding (3.3 V, iir12), and at the e-graph suite's
+/// 5.0 V unfolding 103 (iir12), 100 (dist), 96 (iir6) and 94 (iir5). The
+/// groups this sweep merges by base class differ: at 3.3 V chemical
+/// builds one of 198, which the cap skips, next to dist's 83, iir6's 66
+/// and iir5's 64. The cap keeps such hub-inflated groups from stalling a
+/// sweep.
+const MAX_GROUP_CONSTS: usize = 128;
+
 /// One [`Rule::McmShare`] pass over the whole e-graph: the §5 MCM pass's
 /// group-synthesize-emit procedure, with e-classes standing in for
 /// predecessor nodes. Constants are sorted and deduplicated per group
@@ -576,12 +587,6 @@ fn csd_network(
 /// uses — so the plan, and therefore the emitted network *structure*, is
 /// identical to the script's, and the script graph's chains hashcons onto
 /// the derived ones.
-/// Largest constant group [`mcm_share_sweep`] synthesizes a shared plan
-/// for — comfortably above any group a suite-scale source graph produces
-/// (iir12 unfolded peaks at 58), small enough that hub-inflated merged
-/// groups can't stall a sweep.
-const MAX_GROUP_CONSTS: usize = 128;
-
 fn mcm_share_sweep(
     eg: &mut EGraph,
     frac_bits: u32,

@@ -44,7 +44,7 @@ pub mod optimal;
 mod pairwise;
 mod plan;
 
-pub use pairwise::{naive_cost, synthesize};
+pub use pairwise::{naive_cost, synthesize, synthesize_reference};
 pub use plan::{Expr, McmSolution, OutputRef, Source, Term, VerifyMcmError};
 
 /// How constants are recoded into signed digits before matching.

@@ -45,6 +45,37 @@ pub fn naive_cost(constants: &[i64], recoding: Recoding) -> Cost {
 /// assert_eq!(sol.cost().adds, 1);
 /// ```
 pub fn synthesize(constants: &[i64], recoding: Recoding) -> McmSolution {
+    synthesize_with(constants, recoding, false)
+}
+
+/// [`synthesize`] with every pair scored by the original candidate loop,
+/// one greedy match per candidate transform, instead of by counting. It
+/// returns exactly what [`synthesize`] returns, only slower. It is the
+/// oracle the differential tests hold [`synthesize`] to, not for
+/// production use.
+pub fn synthesize_reference(constants: &[i64], recoding: Recoding) -> McmSolution {
+    synthesize_with(constants, recoding, true)
+}
+
+fn synthesize_with(constants: &[i64], recoding: Recoding, reference: bool) -> McmSolution {
+    let (mut exprs, outputs) = initial_pool(constants, recoding);
+    // Iterative pairwise matching over the expression pool. The memo keeps
+    // the best match of every pair and only recomputes pairs whose
+    // endpoints were rewritten by the previous extraction, so each
+    // iteration costs O(E) pair scans instead of O(E²).
+    let mut memo = PairMemo::with_scoring(&exprs, reference);
+    while let Some(best) = memo.global_best() {
+        let (i, j) = (best.i, best.j);
+        apply_match(&mut exprs, best);
+        memo.refresh(&exprs, i, j);
+    }
+    McmSolution { exprs, outputs }
+}
+
+/// The starting pool: one signed-digit expression per distinct odd part,
+/// and every constant's output as `sign · 2^e · odd`. Recoded digits have
+/// distinct shifts, so every expression's terms are pairwise distinct.
+fn initial_pool(constants: &[i64], recoding: Recoding) -> (Vec<Expr>, Vec<(i64, OutputRef)>) {
     let mut exprs: Vec<Expr> = Vec::new();
     let mut odd_index: HashMap<u64, usize> = HashMap::new();
     let mut outputs: Vec<(i64, OutputRef)> = Vec::new();
@@ -86,19 +117,7 @@ pub fn synthesize(constants: &[i64], recoding: Recoding) -> McmSolution {
             }),
         ));
     }
-
-    // Iterative pairwise matching over the expression pool. The memo keeps
-    // the best match of every pair and only recomputes pairs whose
-    // endpoints were rewritten by the previous extraction, so each
-    // iteration costs O(E) pair scans instead of O(E²).
-    let mut memo = PairMemo::new(&exprs);
-    while let Some(best) = memo.global_best() {
-        let (i, j) = (best.i, best.j);
-        apply_match(&mut exprs, best);
-        memo.refresh(&exprs, i, j);
-    }
-
-    McmSolution { exprs, outputs }
+    (exprs, outputs)
 }
 
 /// A candidate common subpattern between expressions `i` and `j`
@@ -121,6 +140,37 @@ struct Match {
 impl Match {
     fn len(&self) -> usize {
         self.src.len()
+    }
+
+    fn score(&self) -> Score {
+        Score {
+            shift: self.shift,
+            flip: self.flip,
+            len: self.len(),
+        }
+    }
+}
+
+/// What the memo keeps per pair: the winning transform and its match
+/// size. The matched index sets are rebuilt ([`materialize`]) only for a
+/// pair that leads its memo row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Score {
+    shift: i64,
+    flip: bool,
+    len: usize,
+}
+
+/// The full match of pair `(i, j)` under its scored transform.
+fn materialize(exprs: &[Expr], i: usize, j: usize, s: Score) -> Match {
+    let (src, dst) = match_under(exprs, i, j, s.shift, s.flip);
+    Match {
+        i,
+        j,
+        shift: s.shift,
+        flip: s.flip,
+        src,
+        dst,
     }
 }
 
@@ -167,12 +217,9 @@ fn match_under(
     (src, dst)
 }
 
-/// Best match within one fixed pair `(i, j)`: the first candidate
-/// transform (in sorted `(shift, flip)` order) reaching the pair's maximal
-/// match size ≥ 2. `cands` is caller-provided scratch.
-fn pair_best(exprs: &[Expr], i: usize, j: usize, cands: &mut Vec<(i64, bool)>) -> Option<Match> {
-    // Candidate transforms come from aligning any term of i with any
-    // term of j that has the same source.
+/// Every transform that aligns a term of `i` with a same-source term of
+/// `j`, one entry per aligned pair, sorted.
+fn candidates(exprs: &[Expr], i: usize, j: usize, cands: &mut Vec<(i64, bool)>) {
     cands.clear();
     for t in &exprs[i].terms {
         for u in &exprs[j].terms {
@@ -182,6 +229,18 @@ fn pair_best(exprs: &[Expr], i: usize, j: usize, cands: &mut Vec<(i64, bool)>) -
         }
     }
     cands.sort_unstable();
+}
+
+/// Reference scorer for one pair `(i, j)`: runs the greedy match under
+/// every candidate transform and keeps the first (in sorted
+/// `(shift, flip)` order) reaching the pair's maximal size ≥ 2.
+fn pair_best_reference(
+    exprs: &[Expr],
+    i: usize,
+    j: usize,
+    cands: &mut Vec<(i64, bool)>,
+) -> Option<Match> {
+    candidates(exprs, i, j, cands);
     cands.dedup();
     let mut best: Option<Match> = None;
     for &(shift, flip) in cands.iter() {
@@ -206,6 +265,65 @@ fn pair_best(exprs: &[Expr], i: usize, j: usize, cands: &mut Vec<(i64, bool)>) -
     best
 }
 
+/// Whether an expression's terms are pairwise distinct, the precondition
+/// for scoring its pairs by counting.
+fn terms_distinct(e: &Expr) -> bool {
+    e.terms
+        .iter()
+        .enumerate()
+        .all(|(a, t)| !e.terms[..a].contains(t))
+}
+
+/// Best match within one fixed pair `(i, j)`: the score of exactly what
+/// [`pair_best_reference`] returns, with far fewer greedy matches.
+/// `distinct[e]` says whether expression `e`'s terms are pairwise
+/// distinct.
+///
+/// Candidate transforms are walked as runs of the sorted list, one entry
+/// per aligned term pair. Every matched term pair is an aligned pair of
+/// that transform, so a run's length bounds its greedy match from above:
+/// a run no longer than the best match so far can't beat it and is
+/// skipped without matching.
+///
+/// When `i ≠ j` and both expressions' terms are pairwise distinct, the
+/// bound is exact: each term of `i` whose image lies in `j` meets exactly
+/// one partner, and no two want the same one. The run length then *is*
+/// the match size, the first longest run is the reference's winner, and
+/// no greedy match runs at all. The pool keeps terms distinct: recoded
+/// digits have distinct shifts, and every extraction replaces matched
+/// terms by references to a brand-new expression. The memo checks that
+/// invariant rather than assuming it; a pair with a repeated term, like a
+/// self-pair (where a term may play only one role), matches each
+/// surviving run greedily.
+fn pair_best(
+    exprs: &[Expr],
+    distinct: &[bool],
+    i: usize,
+    j: usize,
+    cands: &mut Vec<(i64, bool)>,
+) -> Option<Score> {
+    candidates(exprs, i, j, cands);
+    let counted = i != j && distinct[i] && distinct[j];
+    let mut best: Option<Score> = None;
+    for run in cands.chunk_by(|a, b| a == b) {
+        let (shift, flip) = run[0];
+        // A match must have ≥ 2 terms and beat the best so far.
+        let floor = best.map_or(1, |b| b.len);
+        if run.len() <= floor || (i == j && shift == 0 && !flip) {
+            continue;
+        }
+        let len = if counted {
+            run.len()
+        } else {
+            match_under(exprs, i, j, shift, flip).0.len()
+        };
+        if len > floor {
+            best = Some(Score { shift, flip, len });
+        }
+    }
+    best
+}
+
 /// Per-pair memo of within-pair best matches.
 ///
 /// A match for pair `(a, b)` depends only on `exprs[a]` and `exprs[b]`, so
@@ -216,52 +334,112 @@ fn pair_best(exprs: &[Expr], i: usize, j: usize, cands: &mut Vec<(i64, bool)>) -
 /// cached entry was itself chosen by the same rule over sorted candidate
 /// transforms — so the memoized loop extracts exactly the same sequence of
 /// matches as the O(E²)-per-iteration rescan (asserted by a test below).
+/// Each row also keeps its first longest entry as a full match, so picking
+/// the global winner reads one entry per row instead of all E²/2.
 struct PairMemo {
-    /// `best[i][j - i]` = best match within pair `(i, j)`, `i ≤ j`.
-    best: Vec<Vec<Option<Match>>>,
+    /// `best[i][j - i]` = score of the best match within pair `(i, j)`,
+    /// `i ≤ j`.
+    best: Vec<Vec<Option<Score>>>,
+    /// `top[i]` = row `i`'s first longest match (`None`: the row has none).
+    top: Vec<Option<Match>>,
+    /// `distinct[e]`: expression `e`'s terms are pairwise distinct.
+    distinct: Vec<bool>,
+    /// Score every pair with the reference loop instead of by counting.
+    reference: bool,
     /// Scratch for candidate transforms, reused across pair scans.
     cands: Vec<(i64, bool)>,
 }
 
 impl PairMemo {
+    #[cfg(test)]
     fn new(exprs: &[Expr]) -> PairMemo {
+        PairMemo::with_scoring(exprs, false)
+    }
+
+    fn with_scoring(exprs: &[Expr], reference: bool) -> PairMemo {
         let mut memo = PairMemo {
             best: Vec::with_capacity(exprs.len()),
+            top: Vec::with_capacity(exprs.len()),
+            distinct: Vec::with_capacity(exprs.len()),
+            reference,
             cands: Vec::new(),
         };
-        for i in 0..exprs.len() {
-            let row = (i..exprs.len())
-                .map(|j| pair_best(exprs, i, j, &mut memo.cands))
-                .collect();
-            memo.best.push(row);
-        }
+        memo.extend(exprs);
         memo
+    }
+
+    fn score(&mut self, exprs: &[Expr], a: usize, b: usize) -> Option<Score> {
+        if self.reference {
+            pair_best_reference(exprs, a, b, &mut self.cands).map(|m| m.score())
+        } else {
+            pair_best(exprs, &self.distinct, a, b, &mut self.cands)
+        }
+    }
+
+    /// Scores the pairs of expressions appended since the last call: new
+    /// columns of existing rows, then new rows.
+    fn extend(&mut self, exprs: &[Expr]) {
+        let e = exprs.len();
+        for x in &exprs[self.distinct.len()..] {
+            self.distinct.push(terms_distinct(x));
+        }
+        for a in 0..self.best.len() {
+            for b in (a + self.best[a].len())..e {
+                let s = self.score(exprs, a, b);
+                self.set(exprs, a, b, s);
+            }
+        }
+        for a in self.best.len()..e {
+            let row: Vec<Option<Score>> = (a..e).map(|b| self.score(exprs, a, b)).collect();
+            let top = first_longest(&row).and_then(|c| Some(materialize(exprs, a, a + c, row[c]?)));
+            self.top.push(top);
+            self.best.push(row);
+        }
     }
 
     /// Re-scans every pair touching `i`, `j`, or an expression appended
     /// since the last refresh; all other entries stay cached.
     fn refresh(&mut self, exprs: &[Expr], i: usize, j: usize) {
-        let e = exprs.len();
-        // New expressions extend existing rows and add fresh rows; those
-        // pairs are computed here for the first time.
-        for a in 0..self.best.len() {
-            for b in (a + self.best[a].len())..e {
-                let m = pair_best(exprs, a, b, &mut self.cands);
-                self.best[a].push(m);
-            }
+        for d in [i, j] {
+            self.distinct[d] = terms_distinct(&exprs[d]);
         }
-        for a in self.best.len()..e {
-            let row = (a..e)
-                .map(|b| pair_best(exprs, a, b, &mut self.cands))
-                .collect();
-            self.best.push(row);
-        }
+        self.extend(exprs);
         // Pairs with a rewritten endpoint.
         for d in [i, j] {
-            for a in 0..e {
+            for a in 0..exprs.len() {
                 let (lo, hi) = if a <= d { (a, d) } else { (d, a) };
-                self.best[lo][hi - lo] = pair_best(exprs, lo, hi, &mut self.cands);
+                let s = self.score(exprs, lo, hi);
+                self.set(exprs, lo, hi, s);
             }
+        }
+    }
+
+    /// Stores pair `(a, b)`'s score, appending it when `b` is a new
+    /// column, and keeps row `a`'s top current.
+    fn set(&mut self, exprs: &[Expr], a: usize, b: usize, s: Option<Score>) {
+        let col = b - a;
+        let len = s.map_or(0, |s| s.len);
+        let row = &mut self.best[a];
+        // The top's stored size, read before the entry may be overwritten.
+        // Mid-refresh the top's match may be stale; its score is what
+        // ranks it.
+        let old = self.top[a].as_ref().map(|m| m.j - a);
+        let n = old.and_then(|c| row[c]).map_or(0, |s| s.len);
+        if col == row.len() {
+            row.push(s);
+        } else {
+            row[col] = s;
+        }
+        let top = match old {
+            // The top entry shrank: any other entry may lead now.
+            Some(c) if c == col && len < n => first_longest(row),
+            Some(c) if c == col || len < n || (len == n && c < col) => Some(c),
+            _ if len > 0 => Some(col),
+            _ => None,
+        };
+        // Rebuild the top's match when it moved or its entry was rescored.
+        if top != old || top == Some(col) {
+            self.top[a] = top.and_then(|c| Some(materialize(exprs, a, a + c, row[c]?)));
         }
     }
 
@@ -270,15 +448,26 @@ impl PairMemo {
     /// earlier one.
     fn global_best(&self) -> Option<Match> {
         let mut best: Option<&Match> = None;
-        for row in &self.best {
-            for m in row.iter().flatten() {
-                if best.is_none_or(|b| m.len() > b.len()) {
-                    best = Some(m);
-                }
+        for m in self.top.iter().flatten() {
+            if best.is_none_or(|b| m.len() > b.len()) {
+                best = Some(m);
             }
         }
         best.cloned()
     }
+}
+
+/// Column of the first longest entry in a memo row.
+fn first_longest(row: &[Option<Score>]) -> Option<usize> {
+    let mut top: Option<(usize, usize)> = None;
+    for (c, s) in row.iter().enumerate() {
+        if let Some(s) = s {
+            if top.is_none_or(|(_, n)| s.len > n) {
+                top = Some((c, s.len));
+            }
+        }
+    }
+    top.map(|(c, _)| c)
 }
 
 /// Scans all pairs and transforms for the largest match of size ≥ 2 —
@@ -289,7 +478,7 @@ fn best_match(exprs: &[Expr]) -> Option<Match> {
     let mut cands = Vec::new();
     for i in 0..exprs.len() {
         for j in i..exprs.len() {
-            let cand = pair_best(exprs, i, j, &mut cands);
+            let cand = pair_best_reference(exprs, i, j, &mut cands);
             if let Some(c) = cand {
                 if best.as_ref().is_none_or(|b| c.len() > b.len()) {
                     best = Some(c);
@@ -304,8 +493,9 @@ fn best_match(exprs: &[Expr]) -> Option<Match> {
 /// users.
 fn apply_match(exprs: &mut Vec<Expr>, m: Match) {
     let matched: Vec<Term> = m.src.iter().map(|&a| exprs[m.i].terms[a]).collect();
-    // best_match only produces matches of size >= 2; an empty match would
-    // be a no-op, so bail out instead of panicking on the invariant.
+    // Both scorers only select matches of size >= 2 (a smaller one would
+    // make no progress and `synthesize` would never stop); an empty match
+    // would be a no-op, so bail out instead of panicking on the invariant.
     let Some(m0) = matched.iter().map(|t| t.shift).min() else {
         return;
     };
@@ -470,6 +660,95 @@ mod tests {
             }
             assert_eq!(exprs, naive);
         }
+    }
+
+    /// Steps the extraction loop on `exprs` and, before every step,
+    /// holds the counting scorer to the reference loop on every pair,
+    /// self-pairs included. Returns how many pairs a bare run count
+    /// (distinctness assumed, not checked) would have misjudged.
+    fn check_scorer(mut exprs: Vec<Expr>) -> usize {
+        let mut cands = Vec::new();
+        let mut misjudged = 0;
+        loop {
+            let distinct: Vec<bool> = exprs.iter().map(terms_distinct).collect();
+            let assumed = vec![true; exprs.len()];
+            for i in 0..exprs.len() {
+                for j in i..exprs.len() {
+                    let fast = pair_best(&exprs, &distinct, i, j, &mut cands);
+                    let slow = pair_best_reference(&exprs, i, j, &mut cands);
+                    assert_eq!(
+                        fast,
+                        slow.as_ref().map(Match::score),
+                        "({i}, {j}) {exprs:?}"
+                    );
+                    if let (Some(s), Some(m)) = (fast, slow) {
+                        assert_eq!(materialize(&exprs, i, j, s), m, "({i}, {j}) {exprs:?}");
+                    }
+                    if i != j && pair_best(&exprs, &assumed, i, j, &mut cands) != fast {
+                        misjudged += 1;
+                    }
+                }
+            }
+            let Some(m) = best_match(&exprs) else { break };
+            apply_match(&mut exprs, m);
+        }
+        misjudged
+    }
+
+    #[test]
+    fn counting_scorer_equals_reference_on_random_pools() {
+        let mut rng = lintra_matrix::rng::SplitMix64::new(0x5EED_3C0F);
+        for round in 0..48 {
+            let recoding = if round % 2 == 0 {
+                Recoding::Csd
+            } else {
+                Recoding::Binary
+            };
+            // Negative, even and repeated constants: the pool holds each
+            // odd part once, as `synthesize` builds it.
+            let bits = 4 + rng.next_below(13) as u32;
+            let mut consts: Vec<i64> = Vec::new();
+            for _ in 0..2 + rng.next_below(24) {
+                let c = if !consts.is_empty() && rng.next_below(4) == 0 {
+                    consts[rng.next_below(consts.len() as u64) as usize]
+                } else {
+                    rng.range_i64(-(1 << bits), 1 << bits) << rng.next_below(3)
+                };
+                consts.push(c);
+            }
+            let (exprs, _) = initial_pool(&consts, recoding);
+            assert_eq!(check_scorer(exprs), 0, "{consts:?} {recoding:?}");
+            let sol = synthesize(&consts, recoding);
+            sol.verify().unwrap();
+            assert_eq!(sol, synthesize_reference(&consts, recoding));
+        }
+    }
+
+    #[test]
+    fn counting_scorer_falls_back_on_repeated_terms() {
+        // Hand-built pools over a small term alphabet, so terms repeat
+        // within an expression and the run count overstates matches.
+        let mut rng = lintra_matrix::rng::SplitMix64::new(0xD0_0B1E);
+        let mut misjudged = 0;
+        for _ in 0..48 {
+            let exprs: Vec<Expr> = (0..2 + rng.next_below(6))
+                .map(|e| Expr {
+                    terms: (0..2 + rng.next_below(6))
+                        .map(|_| Term {
+                            source: if e > 0 && rng.next_below(4) == 0 {
+                                Source::Expr(rng.next_below(e) as usize)
+                            } else {
+                                Source::Input
+                            },
+                            shift: rng.next_below(4) as u32,
+                            neg: rng.next_bool(),
+                        })
+                        .collect(),
+                })
+                .collect();
+            misjudged += check_scorer(exprs);
+        }
+        assert!(misjudged > 0, "no pool exercised the distinctness check");
     }
 
     #[test]

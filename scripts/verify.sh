@@ -33,6 +33,12 @@ timeout --kill-after=10 900 cargo test --release -p lintra-egraph -q
 timeout --kill-after=10 900 cargo test --release -p lintra \
   --test egraph_properties --test egraph_differential -q
 
+echo "== mcm: counting scorer vs reference loop on every suite group (release, hard timeout) =="
+# Ignored in tier-1 for its run time; every MCM group of the suite at
+# 3.3 V and 5.0 V must get the same plan from both scorers.
+timeout --kill-after=10 600 cargo test --release -p lintra \
+  --test mcm_differential -q -- --include-ignored
+
 echo "== benchmark: lintra-benchmark smoke (all four workloads) =="
 # The one performance harness. Its smoke test runs paper_suite,
 # synth_egraph, serve_light and routed_replicated end to end, including
