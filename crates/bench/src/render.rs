@@ -5,7 +5,7 @@
 //! looks like" is defined exactly once — a formatting drift in a binary
 //! can no longer diverge from the committed golden files.
 
-use crate::{mean, median, Table2Row, Table3Row, Table4Row};
+use crate::{mean, median, EgraphRow, Table2Row, Table3Row, Table4Row};
 use lintra::opt::single::UnfoldingOutcome;
 use std::fmt::Write as _;
 
@@ -153,5 +153,34 @@ pub fn render_table4(rows: &[Table4Row], v0: f64) -> String {
         mean(&factors),
         median(&factors)
     );
+    out
+}
+
+/// Renders the e-graph suite as the `egraph_suite` binary prints it: one
+/// line per design with its unfolding, operating voltage, saturation
+/// outcome, the optimized and script energies per sample (printed with
+/// `{:?}`, so they round-trip to the exact `f64`) and the gain over the
+/// script. The golden snapshot of this text pins every saturation and
+/// extraction bit for bit.
+pub fn render_egraph(rows: &[EgraphRow], v0: f64) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "E-graph suite: equality saturation vs the fixed script (initial V = {v0})"
+    );
+    for row in rows {
+        let r = &row.result;
+        let _ = writeln!(
+            out,
+            "{:<9} i={} V={:?} | {} | optimized {:?} J, script {:?} J, vs script x{:.6}",
+            row.name,
+            r.unfolding,
+            r.voltage,
+            r.stats,
+            r.optimized.total_j(),
+            r.script.total_j(),
+            r.vs_script(),
+        );
+    }
     out
 }
