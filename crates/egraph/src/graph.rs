@@ -1,10 +1,11 @@
 //! The e-graph itself: hashconsing, union-find, congruence closure,
 //! bounded saturation and cost-based extraction.
 
+use crate::fx::FxHashMap;
 use crate::rules::{McmPlanMemo, RuleScratch};
 use crate::{RuleSet, SaturationBudget, SaturationStats, StopReason};
 use lintra_dfg::{CostModel, Dfg, DfgError, NodeId, NodeKind, OpCountCost};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Instant;
 
@@ -251,8 +252,8 @@ pub struct EGraph {
     uf: Vec<std::cell::Cell<u32>>,
     /// Class contents, indexed by canonical id (`None` once merged away).
     classes: Vec<Option<EClass>>,
-    /// Canonical e-node → class.
-    memo: HashMap<ENode, u32>,
+    /// Canonical e-node → class (Fx-hashed: see [`crate::fx`]).
+    memo: FxHashMap<ENode, u32>,
     /// Classes whose contents need re-canonicalization after unions.
     dirty: Vec<u32>,
     /// Parent entries whose keys went stale because a child class merged
@@ -307,13 +308,12 @@ impl EGraph {
         self.classes.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Canonical ids of all live classes, in id order (snapshot).
-    pub(crate) fn class_ids(&self) -> Vec<Id> {
+    /// Every live class with its e-nodes, in id order.
+    pub(crate) fn live_classes(&self) -> impl Iterator<Item = (Id, &[ENode])> {
         self.classes
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| c.as_ref().map(|_| Id(i as u32)))
-            .collect()
+            .filter_map(|(i, c)| c.as_ref().map(|c| (Id(i as u32), c.nodes.as_slice())))
     }
 
     /// The e-nodes of a class (canonical id assumed; resolves internally).
@@ -544,6 +544,11 @@ impl EGraph {
                 detail: "duplicate output keys".to_string(),
             });
         }
+        if as_.len() != a.states.len() || bs.len() != b.states.len() {
+            return Err(EgraphError::InterfaceMismatch {
+                detail: "duplicate state indices".to_string(),
+            });
+        }
         let a_keys: BTreeSet<_> = ao.keys().collect();
         let b_keys: BTreeSet<_> = bo.keys().collect();
         if a_keys != b_keys {
@@ -602,7 +607,7 @@ impl EGraph {
         let masks = rules.node_masks();
         let mut sched = Backoff::new(rules.rules().len());
         let mut scratch = RuleScratch::default();
-        let mut plans = McmPlanMemo::new();
+        let mut plans = McmPlanMemo::default();
         let mut iterations = 0usize;
         let (mut match_s, mut apply_s, mut rebuild_s) = (0.0f64, 0.0f64, 0.0f64);
         // Scratch buffers reused across iterations: the candidate list,
@@ -739,7 +744,7 @@ impl EGraph {
         budget: &SaturationBudget,
     ) -> SaturationStats {
         let mut scratch = RuleScratch::default();
-        let mut plans = McmPlanMemo::new();
+        let mut plans = McmPlanMemo::default();
         let mut iterations = 0;
         let stop = 'outer: loop {
             if iterations >= budget.max_iterations {
@@ -798,10 +803,7 @@ impl EGraph {
         roots: &GraphRoots,
         model: &dyn CostModel,
     ) -> Result<Extraction, EgraphError> {
-        let mut weight = |_c: u32, _i: usize, n: &ENode| model.node_cost(&n.to_kind());
-        let dfg = self.extract_by(roots, &mut weight)?;
-        let cost = model.graph_cost(&dfg);
-        Ok(Extraction { dfg, cost })
+        self.extract_with(roots, model, Relaxation::Flat)
     }
 
     /// Deterministic sampling of *alternative* representatives: op-count
@@ -814,6 +816,60 @@ impl EGraph {
     ///
     /// Identical to [`EGraph::extract`].
     pub fn extract_seeded(&self, roots: &GraphRoots, seed: u64) -> Result<Extraction, EgraphError> {
+        self.extract_seeded_with(roots, seed, Relaxation::Flat)
+    }
+
+    /// The straightforward extraction loop: the same relaxation as
+    /// [`EGraph::extract`], but every pass re-canonicalizes every e-node,
+    /// re-prices it through the cost model and re-evaluates it whether or
+    /// not its children moved. Semantically the baseline for
+    /// [`EGraph::extract`] — the property harness extracts with both on
+    /// every rule graph and requires identical results. Slower on large
+    /// e-graphs; kept for testing, not for production use.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`EGraph::extract`].
+    pub fn extract_reference(
+        &self,
+        roots: &GraphRoots,
+        model: &dyn CostModel,
+    ) -> Result<Extraction, EgraphError> {
+        self.extract_with(roots, model, Relaxation::Reference)
+    }
+
+    /// [`EGraph::extract_seeded`] through the reference relaxation of
+    /// [`EGraph::extract_reference`] (a test oracle).
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`EGraph::extract`].
+    pub fn extract_seeded_reference(
+        &self,
+        roots: &GraphRoots,
+        seed: u64,
+    ) -> Result<Extraction, EgraphError> {
+        self.extract_seeded_with(roots, seed, Relaxation::Reference)
+    }
+
+    fn extract_with(
+        &self,
+        roots: &GraphRoots,
+        model: &dyn CostModel,
+        relaxation: Relaxation,
+    ) -> Result<Extraction, EgraphError> {
+        let mut weight = |_c: u32, _i: usize, n: &ENode| model.node_cost(&n.to_kind());
+        let dfg = self.extract_by(roots, &mut weight, relaxation)?;
+        let cost = model.graph_cost(&dfg);
+        Ok(Extraction { dfg, cost })
+    }
+
+    fn extract_seeded_with(
+        &self,
+        roots: &GraphRoots,
+        seed: u64,
+        relaxation: Relaxation,
+    ) -> Result<Extraction, EgraphError> {
         let base = OpCountCost;
         let mut weight = |c: u32, i: usize, n: &ENode| {
             let mut h =
@@ -825,7 +881,7 @@ impl EGraph {
             h ^= h >> 31;
             base.node_cost(&n.to_kind()) + (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
         };
-        let dfg = self.extract_by(roots, &mut weight)?;
+        let dfg = self.extract_by(roots, &mut weight, relaxation)?;
         let cost = OpCountCost.graph_cost(&dfg);
         Ok(Extraction { dfg, cost })
     }
@@ -834,7 +890,100 @@ impl EGraph {
         &self,
         roots: &GraphRoots,
         weight: &mut dyn FnMut(u32, usize, &ENode) -> f64,
+        relaxation: Relaxation,
     ) -> Result<Dfg, EgraphError> {
+        let best = match relaxation {
+            Relaxation::Flat => self.relax(weight),
+            Relaxation::Reference => self.relax_reference(weight),
+        };
+        self.emit(roots, &best)
+    }
+
+    /// Per canonical class, the node minimizing `weight + Σ child costs`.
+    ///
+    /// Same visit order and the same strict `<` as
+    /// [`EGraph::relax_reference`], but over arrays built once per call:
+    /// each live class's canonical nodes, their weights and their
+    /// canonical child ids. A node is re-evaluated only when one of its
+    /// children improved since its last evaluation. The skip is exact: an
+    /// unchanged node reproduces its last cost, which was then either the
+    /// class's best or no better than it, and a class's best only falls.
+    fn relax(&self, weight: &mut dyn FnMut(u32, usize, &ENode) -> f64) -> Vec<Option<ENode>> {
+        const NONE: u32 = u32::MAX;
+        let n = self.uf.len();
+        let mut class_of: Vec<u32> = Vec::new();
+        let mut nodes: Vec<ENode> = Vec::new();
+        let mut weights: Vec<f64> = Vec::new();
+        let mut kids: Vec<[u32; 2]> = Vec::new();
+        for (c, class) in self.classes.iter().enumerate() {
+            let Some(class) = class else { continue };
+            for (i, node) in class.nodes.iter().enumerate() {
+                let node = self.canon(*node);
+                let [a, b] = node.children();
+                class_of.push(c as u32);
+                weights.push(weight(c as u32, i, &node));
+                kids.push([a.map_or(NONE, |a| a.0), b.map_or(NONE, |b| b.0)]);
+                nodes.push(node);
+            }
+        }
+        // cost[c] = +∞ until class c is grounded (recorded costs are
+        // finite). improved[c] is the tick of c's last improvement and
+        // seen[e] the tick at which node e was last evaluated.
+        let mut cost = vec![f64::INFINITY; n];
+        let mut choice = vec![NONE; n];
+        let mut improved = vec![0u64; n];
+        let mut seen = vec![0u64; nodes.len()];
+        let mut tick = 0u64;
+        for pass in 0..=n {
+            let mut changed = false;
+            for e in 0..nodes.len() {
+                let [a, b] = kids[e];
+                let moved = |k: u32| k != NONE && improved[k as usize] > seen[e];
+                if pass > 0 && !moved(a) && !moved(b) {
+                    continue;
+                }
+                seen[e] = tick;
+                let mut total = weights[e];
+                let mut grounded = true;
+                for k in [a, b] {
+                    if k == NONE {
+                        break;
+                    }
+                    let kc = cost[k as usize];
+                    if kc == f64::INFINITY {
+                        grounded = false;
+                        break;
+                    }
+                    total += kc;
+                }
+                if !grounded || !total.is_finite() {
+                    continue;
+                }
+                let c = class_of[e] as usize;
+                if total < cost[c] {
+                    cost[c] = total;
+                    choice[c] = e as u32;
+                    tick += 1;
+                    improved[c] = tick;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        choice
+            .into_iter()
+            .map(|e| (e != NONE).then(|| nodes[e as usize]))
+            .collect()
+    }
+
+    /// The relaxation [`EGraph::extract_reference`] runs: every pass
+    /// re-canonicalizes and re-prices every node of every live class.
+    fn relax_reference(
+        &self,
+        weight: &mut dyn FnMut(u32, usize, &ENode) -> f64,
+    ) -> Vec<Option<ENode>> {
         let n = self.uf.len();
         // best[c] = (cost, chosen node) for canonical class c. Relaxation
         // with strictly-improving updates: converges in at most the
@@ -871,8 +1020,13 @@ impl EGraph {
                 break;
             }
         }
+        best.into_iter().map(|b| b.map(|(_, node)| node)).collect()
+    }
 
-        // Emit the chosen representatives as a deduplicated DAG.
+    /// Emits each root's chosen representatives (`best`, per canonical
+    /// class) as one deduplicated, validated DAG.
+    fn emit(&self, roots: &GraphRoots, best: &[Option<ENode>]) -> Result<Dfg, EgraphError> {
+        let n = self.uf.len();
         let mut dfg = Dfg::new();
         let mut node_of: Vec<Option<NodeId>> = vec![None; n];
         let mut on_stack = vec![false; n];
@@ -893,7 +1047,7 @@ impl EGraph {
                             return Err(EgraphError::Unextractable { class: c });
                         }
                         on_stack[c as usize] = true;
-                        let Some((_, node)) = best[c as usize] else {
+                        let Some(node) = best[c as usize] else {
                             return Err(EgraphError::Unextractable { class: c });
                         };
                         stack.push(Task::Build(c));
@@ -902,7 +1056,7 @@ impl EGraph {
                         }
                     }
                     Task::Build(c) => {
-                        let Some((_, node)) = best[c as usize] else {
+                        let Some(node) = best[c as usize] else {
                             return Err(EgraphError::Unextractable { class: c });
                         };
                         let mut preds = Vec::new();
@@ -937,6 +1091,14 @@ impl EGraph {
         dfg.validate()?;
         Ok(dfg)
     }
+}
+
+/// Which relaxation an extraction runs: the production one, or the
+/// reference loop kept as its test oracle.
+#[derive(Debug, Clone, Copy)]
+enum Relaxation {
+    Flat,
+    Reference,
 }
 
 /// Egg-style per-rule backoff. A rule that changes the e-graph more than
@@ -1159,6 +1321,28 @@ mod tests {
         let err = eg.union_roots(&a, &b).unwrap_err();
         assert!(matches!(err, EgraphError::InterfaceMismatch { .. }));
         assert!(err.to_string().contains("state indices differ"));
+    }
+
+    #[test]
+    fn union_roots_refuses_duplicate_state_indices() {
+        // Two next-state sinks for state 0 in each graph: the BTreeMap
+        // index would keep only the last pair and unite it silently.
+        let twice_state_zero = |c: f64| {
+            let mut g = Dfg::new();
+            let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
+            let m = g.push(NodeKind::MulConst(c), vec![s]).unwrap();
+            g.push(NodeKind::StateOut { index: 0 }, vec![s]).unwrap();
+            g.push(NodeKind::StateOut { index: 0 }, vec![m]).unwrap();
+            g
+        };
+        let (a, b) = (twice_state_zero(0.5), twice_state_zero(0.25));
+        a.validate().unwrap();
+        let mut eg = EGraph::new();
+        let ra = eg.add_dfg(&a).unwrap();
+        let rb = eg.add_dfg(&b).unwrap();
+        let err = eg.union_roots(&ra, &rb).unwrap_err();
+        assert!(matches!(err, EgraphError::InterfaceMismatch { .. }));
+        assert!(err.to_string().contains("duplicate state indices"), "{err}");
     }
 
     #[test]

@@ -60,6 +60,7 @@
 //! # }
 //! ```
 
+mod fx;
 mod graph;
 mod rules;
 

@@ -9,20 +9,27 @@
 //! ASIC script already accepts, and live in [`RuleSet::extended`] /
 //! [`RuleSet::asic`].
 
+use crate::fx::FxHashMap;
 use crate::graph::{EGraph, ENode, Id, KIND_COUNT};
 use lintra_mcm::{quantize, synthesize, McmSolution, OutputRef, Recoding, Source, Term};
-use std::collections::HashMap;
 
-/// Reusable child-class snapshots for the rule arms. Rules read one level
-/// down (a node plus the nodes of one child class) while mutating the
-/// e-graph, so each arm snapshots the child's nodes first; these buffers
-/// make that snapshot allocation-free across the whole saturation run.
-/// Two buffers because the factoring direction of
-/// [`Rule::MulDistribute`] holds both operands' snapshots at once.
+/// Per-saturation scratch state for the per-node rule arms.
+///
+/// Rules read one level down (a node plus the nodes of one child class)
+/// while mutating the e-graph, so each arm snapshots the child's nodes
+/// first; `left` and `right` make that snapshot allocation-free across
+/// the whole saturation run. Two buffers because the factoring direction
+/// of [`Rule::MulDistribute`] holds both operands' snapshots at once.
+///
+/// `csd_plans` memoizes [`Rule::CsdDecompose`]'s single-constant
+/// syntheses by recoding and quantized constant: unfolded designs carry
+/// the same coefficient on every sample, and the arm revisits each
+/// multiplier on every sweep.
 #[derive(Debug, Default)]
 pub(crate) struct RuleScratch {
     left: Vec<ENode>,
     right: Vec<ENode>,
+    csd_plans: CsdPlanMemo,
 }
 
 /// Snapshots class `c`'s nodes into `buf` and returns them as a slice the
@@ -325,7 +332,8 @@ impl Rule {
                 // quantized script realization stays unreachable.
                 let dequant = quantize(c, *frac_bits) as f64 * (-f64::from(*frac_bits)).exp2();
                 if c.is_finite() && !(pow2_exponent(c.abs()).is_some() && dequant == c) {
-                    if let Some(n) = csd_network(eg, a, c, *frac_bits, *recoding) {
+                    let plans = &mut scratch.csd_plans;
+                    if let Some(n) = csd_network(eg, a, c, *frac_bits, *recoding, plans) {
                         merged = eg.union(class, n);
                     }
                 }
@@ -417,18 +425,30 @@ impl Dyadic {
     }
 }
 
+/// What the collect-linear analysis knows about one class.
+#[derive(Debug, Clone, Copy)]
+enum Linear {
+    /// Not reached yet.
+    Unvisited,
+    /// On the current descent path: a cycle, read as the opaque `1·itself`.
+    Open,
+    /// The class computes `a·base`.
+    Form(Dyadic, Id),
+}
+
 /// One [`Rule::CollectLinear`] pass over the whole e-graph: a bottom-up
-/// linear-form analysis (single shared memo, so the pass is linear in the
-/// number of e-nodes), then one `MulConst` hub per discovered `a·base`
-/// form. Analysis and mutation are separated so the memo never observes a
-/// half-updated union-find.
+/// linear-form analysis (one memo slot per class, so the pass is linear
+/// in the number of e-nodes), then one `MulConst` hub per discovered
+/// `a·base` form. Analysis and mutation are separated so the memo never
+/// observes a half-updated union-find.
 fn collect_linear_sweep(eg: &mut EGraph) -> bool {
     let before = eg.len();
-    let mut memo: HashMap<Id, Option<(Dyadic, Id)>> = HashMap::new();
+    let mut memo = vec![Linear::Unvisited; eg.len()];
     let mut plans: Vec<(Id, u64, Id)> = Vec::new();
-    for c in eg.class_ids() {
-        let mut seen: Vec<(u64, Id)> = Vec::new();
-        for node in eg.class_nodes(c) {
+    let mut seen: Vec<(u64, Id)> = Vec::new();
+    for (c, nodes) in eg.live_classes() {
+        seen.clear();
+        for node in nodes {
             let Some((d, b)) = linear_of_node(eg, node, &mut memo) else {
                 continue;
             };
@@ -436,7 +456,7 @@ fn collect_linear_sweep(eg: &mut EGraph) -> bool {
                 continue;
             };
             let b = eg.find(b);
-            if a == 1.0 && eg.find(c) == b {
+            if a == 1.0 && c == b {
                 continue; // trivial self-hub: `1·c` in class `c`
             }
             if !seen.contains(&(a.to_bits(), b)) {
@@ -468,11 +488,7 @@ fn collect_linear_sweep(eg: &mut EGraph) -> bool {
 /// accumulate exactly, so structurally different chains over the same
 /// base land on bit-identical hub constants. (A `MulConst` node needs no
 /// plan of its own anyway: the hub it would propose is itself.)
-fn linear_of_node(
-    eg: &EGraph,
-    node: &ENode,
-    memo: &mut HashMap<Id, Option<(Dyadic, Id)>>,
-) -> Option<(Dyadic, Id)> {
+fn linear_of_node(eg: &EGraph, node: &ENode, memo: &mut [Linear]) -> Option<(Dyadic, Id)> {
     match *node {
         ENode::Shift(k, c) => {
             let (a, b) = linear_of_class(eg, c, memo);
@@ -507,16 +523,15 @@ fn linear_of_node(
 /// A class's linear form: the first representative that decomposes, else
 /// `1·itself` (leaves, delays, mixed-base sums, overflowed coefficients,
 /// and classes on the current descent path — cycles act as opaque bases).
-fn linear_of_class(
-    eg: &EGraph,
-    c: Id,
-    memo: &mut HashMap<Id, Option<(Dyadic, Id)>>,
-) -> (Dyadic, Id) {
+fn linear_of_class(eg: &EGraph, c: Id, memo: &mut [Linear]) -> (Dyadic, Id) {
     let root = eg.find(c);
-    if let Some(cached) = memo.get(&root) {
-        return cached.unwrap_or((Dyadic::ONE, root));
+    let slot = root.0 as usize;
+    match memo[slot] {
+        Linear::Form(a, b) => return (a, b),
+        Linear::Open => return (Dyadic::ONE, root),
+        Linear::Unvisited => {}
     }
-    memo.insert(root, None);
+    memo[slot] = Linear::Open;
     let mut found = None;
     for n in eg.class_nodes(root) {
         if let Some(r) = linear_of_node(eg, n, memo) {
@@ -524,9 +539,9 @@ fn linear_of_class(
             break;
         }
     }
-    let res = found.unwrap_or((Dyadic::ONE, root));
-    memo.insert(root, Some(res));
-    res
+    let (a, b) = found.unwrap_or((Dyadic::ONE, root));
+    memo[slot] = Linear::Form(a, b);
+    (a, b)
 }
 
 /// `true` when the class contains a literal zero of either sign.
@@ -551,7 +566,8 @@ fn pow2_exponent(a: f64) -> Option<i32> {
 
 /// Emits the shift-add network for `round(c·2^w)·x ≫ w` into the e-graph,
 /// mirroring the MCM pass's `GroupEmitter` chain exactly (so an injected
-/// §5 graph hashconses onto the same e-nodes). Returns `None` when the
+/// §5 graph hashconses onto the same e-nodes). The single-constant plan
+/// comes from `plans`, synthesized on first use. Returns `None` when the
 /// synthesized plan is unevaluable (defensive; a correct plan never is).
 fn csd_network(
     eg: &mut EGraph,
@@ -559,14 +575,16 @@ fn csd_network(
     c: f64,
     frac_bits: u32,
     recoding: Recoding,
+    plans: &mut CsdPlanMemo,
 ) -> Option<Id> {
     let q = quantize(c, frac_bits);
     if q == 0 {
         return Some(eg.add(ENode::Const(0.0f64.to_bits())));
     }
-    let plan = synthesize(&[q], recoding);
-    let mut em = CsdEmitter::new(plan);
-    em.output_node(eg, base, 0, frac_bits)
+    let plan = plans
+        .entry((recoding, q))
+        .or_insert_with(|| synthesize(&[q], recoding));
+    CsdEmitter::new(plan).output_node(eg, base, 0, frac_bits)
 }
 
 /// Largest constant group [`mcm_share_sweep`] synthesizes a shared plan
@@ -596,9 +614,9 @@ fn mcm_share_sweep(
     let before = eg.len();
     // Analysis phase (read-only): group multiplier e-nodes by canonical
     // base class.
-    let mut groups: HashMap<Id, Vec<(i64, Id)>> = HashMap::new();
-    for c in eg.class_ids() {
-        for node in eg.class_nodes(c) {
+    let mut groups: FxHashMap<Id, Vec<(i64, Id)>> = FxHashMap::default();
+    for (c, nodes) in eg.live_classes() {
+        for node in nodes {
             if let ENode::MulConst(bits, b) = *node {
                 let v = f64::from_bits(bits);
                 if v.is_finite() {
@@ -630,8 +648,7 @@ fn mcm_share_sweep(
         }
         let plan = plans
             .entry((recoding, consts.clone()))
-            .or_insert_with(|| synthesize(&consts, recoding))
-            .clone();
+            .or_insert_with(|| synthesize(&consts, recoding));
         let mut em = CsdEmitter::new(plan);
         for (q, class) in muls {
             let Ok(idx) = consts.binary_search(&q) else {
@@ -647,15 +664,15 @@ fn mcm_share_sweep(
 
 /// E-graph twin of the MCM pass's `GroupEmitter`: lazily materialized plan
 /// expressions with an in-progress guard instead of a panic on reference
-/// cycles.
-struct CsdEmitter {
-    plan: McmSolution,
+/// cycles. Borrows its plan from the memo that holds it.
+struct CsdEmitter<'p> {
+    plan: &'p McmSolution,
     expr_nodes: Vec<Option<Id>>,
     in_progress: Vec<bool>,
 }
 
-impl CsdEmitter {
-    fn new(plan: McmSolution) -> CsdEmitter {
+impl<'p> CsdEmitter<'p> {
+    fn new(plan: &'p McmSolution) -> CsdEmitter<'p> {
         CsdEmitter {
             expr_nodes: vec![None; plan.exprs.len()],
             in_progress: vec![false; plan.exprs.len()],
@@ -711,9 +728,9 @@ impl CsdEmitter {
             return None;
         }
         self.in_progress[idx] = true;
-        let terms = self.plan.exprs[idx].terms.clone();
+        let plan = self.plan;
         let mut acc: Option<(Id, bool)> = None;
-        for t in &terms {
+        for t in &plan.exprs[idx].terms {
             let (node, neg) = self.term_node(eg, base, t)?;
             acc = Some(match acc {
                 None => (node, neg),
@@ -895,7 +912,11 @@ impl RuleSet {
 
 /// Memoized shared-MCM plans, keyed by the recoding and the sorted,
 /// deduplicated quantized constant set — the full input to [`synthesize`].
-pub(crate) type McmPlanMemo = HashMap<(Recoding, Vec<i64>), McmSolution>;
+pub(crate) type McmPlanMemo = FxHashMap<(Recoding, Vec<i64>), McmSolution>;
+
+/// Memoized single-constant plans for [`Rule::CsdDecompose`], keyed by the
+/// recoding and the quantized constant.
+type CsdPlanMemo = FxHashMap<(Recoding, i64), McmSolution>;
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,10 @@ cargo fmt --check
 
 echo "== engine: differential + golden-snapshot tests =="
 cargo test --release -p lintra-engine -q
-cargo test --release -p lintra-bench --test parallel_equivalence --test golden_tables -q
+# Both saturate the whole e-graph suite; like the e-graph harness below,
+# a hang there is a bug, so they run under the same hard cap.
+timeout --kill-after=10 900 cargo test --release -p lintra-bench \
+  --test parallel_equivalence --test golden_tables -q
 
 echo "== egraph: property + differential harness (release, hard timeout) =="
 # The saturation search is budgeted, never unbounded — a hang here is a

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use lintra::dfg::{build, CycleCost, Dfg, NodeId, NodeKind, OpCountCost};
+use lintra::dfg::{build, CostModel, CycleCost, Dfg, NodeId, NodeKind, OpCountCost};
 use lintra::egraph::{EGraph, Rule, RuleSet, SaturationBudget};
 use lintra::linsys::unfold;
 use lintra::mcm::Recoding;
@@ -475,27 +475,44 @@ fn each_rule_is_semantics_preserving_in_isolation() {
 /// full-rescan reference engine ([`EGraph::saturate_reference`]) over the
 /// same graph and asserts their *outcomes* are identical: same stats
 /// (timings excluded), and bit-identical extractions under every flavour
-/// the crate offers.
+/// the crate offers. Each extraction is also checked against its own
+/// oracle, the reference relaxation ([`EGraph::extract_reference`],
+/// [`EGraph::extract_seeded_reference`]).
 fn assert_engines_agree(ctx: &str, g: &Dfg, rules: &RuleSet, budget: &SaturationBudget) {
     let (mut fast, roots_f) = EGraph::from_dfg(g).unwrap();
     let (mut slow, roots_s) = EGraph::from_dfg(g).unwrap();
     let sf = fast.saturate(rules, budget);
     let ss = slow.saturate_reference(rules, budget);
     assert_eq!(sf, ss, "{ctx}: stats diverge: {sf} vs {ss}");
-    let xf = fast.extract(&roots_f, &OpCountCost).unwrap();
-    let xs = slow.extract(&roots_s, &OpCountCost).unwrap();
-    assert_eq!(xf, xs, "{ctx}: op-count extraction diverges");
     let cycles = CycleCost {
         w_mul: 2.0,
         w_add: 1.0,
     };
-    let xf = fast.extract(&roots_f, &cycles).unwrap();
-    let xs = slow.extract(&roots_s, &cycles).unwrap();
-    assert_eq!(xf, xs, "{ctx}: cycle-cost extraction diverges");
+    for (name, model) in [
+        ("op-count", &OpCountCost as &dyn CostModel),
+        ("cycle-cost", &cycles),
+    ] {
+        let xf = fast.extract(&roots_f, model).unwrap();
+        let xr = fast.extract_reference(&roots_f, model).unwrap();
+        assert_eq!(
+            xf, xr,
+            "{ctx}: {name} extraction diverges from its reference"
+        );
+        let xs = slow.extract(&roots_s, model).unwrap();
+        assert_eq!(xf, xs, "{ctx}: {name} extraction diverges between engines");
+    }
     for seed in [7u64, 0xfeed] {
         let xf = fast.extract_seeded(&roots_f, seed).unwrap();
+        let xr = fast.extract_seeded_reference(&roots_f, seed).unwrap();
+        assert_eq!(
+            xf, xr,
+            "{ctx}: seeded ({seed:#x}) extraction diverges from its reference"
+        );
         let xs = slow.extract_seeded(&roots_s, seed).unwrap();
-        assert_eq!(xf, xs, "{ctx}: seeded ({seed:#x}) extraction diverges");
+        assert_eq!(
+            xf, xs,
+            "{ctx}: seeded ({seed:#x}) extraction diverges between engines"
+        );
     }
 }
 
