@@ -66,6 +66,7 @@ pub mod breaker;
 pub mod client;
 pub mod clock;
 pub mod journal;
+pub mod protocol;
 pub mod replicate;
 pub mod router;
 pub mod server;
@@ -77,9 +78,8 @@ pub use client::{Client, ClientError, RetryPolicy};
 pub use clock::{Clock, SystemClock};
 pub use journal::{Journal, JournalRecovery, RecordKind, ScanOutcome};
 pub use replicate::{
-    epoch_stride_slot, load_epoch_state, prefix_crc, promotion_epoch, query_status,
-    query_status_via, store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role,
-    StatusView,
+    load_epoch_state, prefix_crc, promotion_epoch, query_status, query_status_via, status_query,
+    store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role, StatusView,
 };
 pub use router::{
     fnv1a64, routing_key, start_router, LatencyTracker, RetryBudget, RouterConfig, RouterHandle,

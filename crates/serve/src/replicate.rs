@@ -12,6 +12,11 @@
 //! status queries — while rejecting compute requests with
 //! `RES-NOT-PRIMARY`.
 //!
+//! Every decision below is made by the sans-IO core in
+//! [`crate::protocol`]; this module holds the wire codec, the epoch
+//! file, and the thin threaded driver that carries the core's outputs
+//! out over sockets, the journal, and the engine.
+//!
 //! # Transport
 //!
 //! Replication rides the server's ordinary newline-delimited-JSON TCP
@@ -49,8 +54,7 @@
 //!   are collision-free, see below) — so a revived stale primary is
 //!   fenced even before the new primary dials it.
 //!
-//! Fencing is **durable**: [`ReplState::fence`] persists the
-//! superseding epoch together with a `fenced` marker, so a fenced
+//! Fencing is **durable**: the core persists the superseding epoch together with a `fenced` marker, so a fenced
 //! server that restarts (without `--replica-of`) comes back fenced
 //! instead of re-opening for writes at its stale epoch. An epoch file
 //! that exists but does not parse is a **startup error** — silently
@@ -61,15 +65,17 @@
 //! The follower expects a record or heartbeat within
 //! [`crate::ServerConfig::failover_grace`]; reconnects use the client's
 //! jittered exponential backoff ([`crate::RetryPolicy::backoff`]). When
-//! the grace expires, the follower arbitrates: it queries each peer's
-//! `(role, epoch, seq)` (skipping any peer whose status nonce proves it
-//! is this very server under an alias) and
+//! the grace expires, the follower arbitrates: it queries every peer's
+//! `(role, epoch, seq)` at once (skipping any peer whose status nonce
+//! proves it is this very server under an alias), decides once all
+//! have answered or the peer timeout passed, and
 //!
 //! * **adopts** a peer that already promoted (follows it instead),
-//! * **defers** to any live peer with more acked records (or, on a tie,
-//!   the lexicographically smaller address) — so the *highest-acked*
-//!   follower wins and a double promotion resolves deterministically;
-//!   each deferral is logged so a perpetual defer loop is visible,
+//! * **defers** to any live follower with more acked records (or, on a
+//!   tie, the lexicographically smaller address) — so the
+//!   *highest-acked* follower wins and a double promotion resolves
+//!   deterministically; each deferral is logged, and a follower parked
+//!   diverged (it will never promote) is never deferred to,
 //! * otherwise **promotes**: bumps the epoch past every epoch it has
 //!   observed — to the next epoch *congruent to this node's slot* in
 //!   the sorted cluster membership (`peers` ∪ self), so two nodes can
@@ -103,24 +109,21 @@
 //! will never promote. The operator wipes its journal directory and
 //! re-seeds it from the live primary.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lintra::engine::snapshot::{crc32, install_dir};
-use lintra::matrix::rng::SplitMix64;
 use lintra_bench::json::Json;
 use lintra_bench::wire::{WireOp, WireRequest};
 
-use crate::client::RetryPolicy;
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{fold_records, payload_bytes, JournalRecord, RecordKind, SNAPSHOT_DIR};
-use crate::server::{lock_unpoisoned, persist_snapshots, replay_request, Shared};
+use crate::journal::{payload_bytes, Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
+use crate::protocol::{Core, Input, Output, Storage};
+use crate::server::{lock_unpoisoned, persist_snapshots, replay_response, Shared};
 use crate::signal;
 use crate::transport::{read_line, Conn, NetError, TcpTransport, Transport};
 
@@ -128,7 +131,10 @@ use crate::transport::{read_line, Conn, NetError, TcpTransport, Transport};
 pub const EPOCH_FILE: &str = "epoch";
 
 /// Connect/read budget for one-shot peer queries (status, fence hello).
-const PEER_TIMEOUT: Duration = Duration::from_millis(250);
+pub(crate) const PEER_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Connect budget for the follower link.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How often blocked replication reads re-check for shutdown.
 const POLL: Duration = Duration::from_millis(20);
@@ -160,15 +166,6 @@ impl Role {
     }
 }
 
-/// Role plus the addresses that parameterize it.
-#[derive(Debug, Clone)]
-pub struct RoleState {
-    /// Current role.
-    pub role: Role,
-    /// The primary this follower replicates from (follower/promoting).
-    pub primary: Option<String>,
-}
-
 /// Deterministic replication-fault knobs, for chaos tests only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplChaos {
@@ -181,186 +178,6 @@ pub struct ReplChaos {
     /// record at the given sequence number (`Fault::LaggingFollower`).
     /// The primary must keep serving at full speed meanwhile.
     pub lag: Option<(u64, Duration)>,
-}
-
-/// Shared replication state of one server (present iff durable).
-pub struct ReplState {
-    /// This server's own listen address (tiebreaks promotion races).
-    pub(crate) self_addr: Mutex<String>,
-    /// Current epoch (term). Monotonic; persisted in [`EPOCH_FILE`].
-    pub(crate) epoch: AtomicU64,
-    /// Where the epoch is persisted.
-    pub(crate) epoch_path: PathBuf,
-    /// Current role.
-    pub(crate) role: Mutex<RoleState>,
-    /// In-memory image of the journal, in record order; sequence number
-    /// `s` is `log[s - 1]`. Seeded from recovery, appended on every
-    /// journal append, streamed to followers.
-    pub(crate) log: Mutex<Vec<JournalRecord>>,
-    /// Signalled when `log` grows (wakes idle follower streams).
-    pub(crate) log_grew: Condvar,
-    /// Highest acked sequence per follower address (observability).
-    pub(crate) acks: Mutex<HashMap<String, u64>>,
-    /// The epoch that superseded ours (0 = not fenced).
-    pub(crate) fenced_by: AtomicU64,
-    /// Records replayed during promotion.
-    pub(crate) promoted_replayed: AtomicU64,
-    /// The address of the primary this server was deposed-promoted from
-    /// (set at promotion; the guard loop keeps fencing it).
-    pub(crate) former_primary: Mutex<Option<String>>,
-    /// Replication records refused for a checksum mismatch
-    /// (`IO-REPL-CORRUPT`).
-    pub(crate) corrupt_refused: AtomicU64,
-    /// True once the primary proved this follower's journal is not a
-    /// prefix of its own (`IO-REPL-CORRUPT` at hello): replication has
-    /// stopped and this server will never promote.
-    pub(crate) diverged: AtomicBool,
-    /// Random per-process identity carried in status replies, so a
-    /// status query that loops back to this very server (hostname vs IP
-    /// alias, `0.0.0.0` bind) is recognized as self, not a peer.
-    pub(crate) nonce: u64,
-    /// Chaos link drops already consumed (each fires once).
-    pub(crate) chaos_drops_done: AtomicU64,
-}
-
-impl ReplState {
-    /// Builds the replication state from the persisted epoch file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`load_epoch_state`]'s refusal of an unreadable or
-    /// unparseable epoch file — silently resetting a corrupt file to
-    /// epoch 1 could un-fence a deposed primary, so startup fails
-    /// instead.
-    pub(crate) fn new(
-        epoch_path: PathBuf,
-        replica_of: Option<String>,
-        records: Vec<JournalRecord>,
-        clock: &dyn Clock,
-    ) -> Result<ReplState, std::io::Error> {
-        let state = load_epoch_state(&epoch_path)?;
-        let (role, fenced_by) = match (replica_of, state.fenced) {
-            // An explicit `--replica-of` rejoin clears a persisted
-            // fence: the operator chose a primary to resync from, and
-            // the hello's prefix checksum guards against a divergent
-            // journal sneaking back in.
-            (Some(primary), fenced) => {
-                if fenced {
-                    let _ = store_epoch(&epoch_path, state.epoch);
-                }
-                (
-                    RoleState {
-                        role: Role::Follower,
-                        primary: Some(primary),
-                    },
-                    0,
-                )
-            }
-            // A fenced server restarted as-is stays fenced: re-opening
-            // for writes at a stale epoch would accept (and ack) work
-            // the real primary never sees.
-            (None, true) => (
-                RoleState {
-                    role: Role::Fenced,
-                    primary: None,
-                },
-                state.epoch,
-            ),
-            (None, false) => (
-                RoleState {
-                    role: Role::Primary,
-                    primary: None,
-                },
-                0,
-            ),
-        };
-        // The nonce only has to distinguish *processes* talking through
-        // address aliases. A process-wide counter makes it unique within
-        // this process even under a frozen or coarse clock (two ReplStates
-        // built in the same tick), the pid separates processes on one
-        // host, and the monotonic clock reading separates hosts — no
-        // `SystemTime` involved, so simulation runs stay deterministic.
-        static NONCE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let mut hasher = DefaultHasher::new();
-        std::process::id().hash(&mut hasher);
-        epoch_path.hash(&mut hasher);
-        NONCE_SEQ.fetch_add(1, Ordering::SeqCst).hash(&mut hasher);
-        clock.now().hash(&mut hasher);
-        Ok(ReplState {
-            self_addr: Mutex::new(String::new()),
-            epoch: AtomicU64::new(state.epoch),
-            epoch_path,
-            role: Mutex::new(role),
-            log: Mutex::new(records),
-            log_grew: Condvar::new(),
-            acks: Mutex::new(HashMap::new()),
-            fenced_by: AtomicU64::new(fenced_by),
-            promoted_replayed: AtomicU64::new(0),
-            former_primary: Mutex::new(None),
-            corrupt_refused: AtomicU64::new(0),
-            diverged: AtomicBool::new(false),
-            // JSON numbers are f64: keep the nonce within 2^53 so it
-            // round-trips the wire exactly. One SplitMix64 step disperses
-            // the hash so counter-adjacent nonces are far apart.
-            nonce: SplitMix64::new(hasher.finish()).next_u64() & ((1 << 53) - 1),
-            chaos_drops_done: AtomicU64::new(0),
-        })
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Current sequence number (= records in the log).
-    pub fn seq(&self) -> u64 {
-        lock_unpoisoned(&self.log).len() as u64
-    }
-
-    /// Snapshot of the current role.
-    pub fn role_state(&self) -> RoleState {
-        lock_unpoisoned(&self.role).clone()
-    }
-
-    pub(crate) fn set_role(&self, role: Role, primary: Option<String>) {
-        *lock_unpoisoned(&self.role) = RoleState { role, primary };
-    }
-
-    /// Records refused with `IO-REPL-CORRUPT` so far.
-    pub fn corrupt_refused(&self) -> u64 {
-        self.corrupt_refused.load(Ordering::SeqCst)
-    }
-
-    /// True once this follower's journal was proven to have diverged
-    /// from its primary's (it will never resync or promote).
-    pub fn diverged(&self) -> bool {
-        self.diverged.load(Ordering::SeqCst)
-    }
-
-    /// Fences this server: a higher epoch exists, so every subsequent
-    /// request is answered `RES-STALE-EPOCH`. The fence is persisted
-    /// (best-effort) so a restart comes back fenced instead of
-    /// re-opening for writes at the stale epoch; the in-memory fence
-    /// holds regardless.
-    pub(crate) fn fence(&self, superseded_by: u64) {
-        let _ = store_epoch_state(
-            &self.epoch_path,
-            EpochState {
-                epoch: superseded_by.max(self.epoch()),
-                fenced: true,
-            },
-        );
-        self.fenced_by.store(superseded_by, Ordering::SeqCst);
-        self.set_role(Role::Fenced, None);
-    }
-
-    /// Adopts a higher epoch observed on the wire, persisting it.
-    fn adopt_epoch(&self, epoch: u64) {
-        if epoch > self.epoch() {
-            let _ = store_epoch(&self.epoch_path, epoch);
-            self.epoch.store(epoch, Ordering::SeqCst);
-        }
-    }
 }
 
 // --- epoch persistence ----------------------------------------------------
@@ -507,21 +324,7 @@ pub enum ReplMsg {
     /// Read-only status query (any peer).
     Status,
     /// Answer to [`ReplMsg::Status`].
-    StatusReply {
-        /// Role label ([`Role::label`]).
-        role: String,
-        /// Current epoch.
-        epoch: u64,
-        /// Current sequence number.
-        seq: u64,
-        /// Settled keys servable to retries.
-        answered: u64,
-        /// The answering process's identity nonce: a querier whose own
-        /// nonce matches is talking to itself through an address alias.
-        nonce: u64,
-        /// The primary a follower replicates from, if any.
-        primary: Option<String>,
-    },
+    StatusReply(StatusView),
 }
 
 fn num(doc: &Json, key: &str) -> Option<u64> {
@@ -569,14 +372,14 @@ impl ReplMsg {
                 epoch: num(&doc, "epoch")?,
             }),
             "status" => Some(ReplMsg::Status),
-            "status-reply" => Some(ReplMsg::StatusReply {
+            "status-reply" => Some(ReplMsg::StatusReply(StatusView {
                 role: text(&doc, "role")?,
                 epoch: num(&doc, "epoch")?,
                 seq: num(&doc, "seq")?,
                 answered: num(&doc, "answered")?,
                 nonce: num(&doc, "nonce")?,
                 primary: text(&doc, "primary"),
-            }),
+            })),
             _ => None,
         }
     }
@@ -627,23 +430,16 @@ impl ReplMsg {
                 ("epoch", Json::Num(*epoch as f64)),
             ]),
             ReplMsg::Status => Json::obj([("repl", Json::Str("status".to_string()))]),
-            ReplMsg::StatusReply {
-                role,
-                epoch,
-                seq,
-                answered,
-                nonce,
-                primary,
-            } => {
+            ReplMsg::StatusReply(st) => {
                 let mut members = vec![
                     ("repl", Json::Str("status-reply".to_string())),
-                    ("role", Json::Str(role.clone())),
-                    ("epoch", Json::Num(*epoch as f64)),
-                    ("seq", Json::Num(*seq as f64)),
-                    ("answered", Json::Num(*answered as f64)),
-                    ("nonce", Json::Num(*nonce as f64)),
+                    ("role", Json::Str(st.role.clone())),
+                    ("epoch", Json::Num(st.epoch as f64)),
+                    ("seq", Json::Num(st.seq as f64)),
+                    ("answered", Json::Num(st.answered as f64)),
+                    ("nonce", Json::Num(st.nonce as f64)),
                 ];
-                if let Some(p) = primary {
+                if let Some(p) = &st.primary {
                     members.push(("primary", Json::Str(p.clone())));
                 }
                 Json::obj(members)
@@ -655,18 +451,20 @@ impl ReplMsg {
     }
 }
 
-/// A peer's answer to a status query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A server's answer to a status query.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatusView {
-    /// Role label.
+    /// Role label ([`Role::label`], `diverged` for a parked follower,
+    /// `stateless` or `router` for servers that do not replicate).
     pub role: String,
-    /// Peer's epoch.
+    /// Current epoch.
     pub epoch: u64,
-    /// Peer's sequence number (acked records).
+    /// Current sequence number (durable records).
     pub seq: u64,
     /// Settled keys servable to retries.
     pub answered: u64,
-    /// The answering process's identity nonce ([`ReplMsg::StatusReply`]).
+    /// The answering process's identity nonce: a querier whose own nonce
+    /// matches is talking to itself through an address alias.
     pub nonce: u64,
     /// The primary the peer replicates from, if it is a follower.
     pub primary: Option<String>,
@@ -688,6 +486,11 @@ pub fn prefix_crc(records: &[JournalRecord]) -> u32 {
 
 // --- socket plumbing ------------------------------------------------------
 
+/// The status query line health probers send to any server.
+pub fn status_query() -> String {
+    ReplMsg::Status.render_line()
+}
+
 /// One-shot status query against any replicated server over real TCP.
 /// `None` when the peer is unreachable, not replicated, or answers
 /// garbage. Library-internal paths use [`query_status_via`] so the
@@ -703,456 +506,364 @@ pub fn query_status_via(
     addr: &str,
     timeout: Duration,
 ) -> Option<StatusView> {
-    let mut conn = transport.connect(addr, timeout).ok()?;
-    conn.send(ReplMsg::Status.render_line().as_bytes()).ok()?;
-    let mut buf = Vec::new();
-    let line = read_line(conn.as_mut(), &mut buf, timeout, POLL, clock).ok()??;
-    match ReplMsg::parse(&line)? {
-        ReplMsg::StatusReply {
-            role,
-            epoch,
-            seq,
-            answered,
-            nonce,
-            primary,
-        } => Some(StatusView {
-            role,
-            epoch,
-            seq,
-            answered,
-            nonce,
-            primary,
-        }),
+    match exchange(transport, clock, addr, &ReplMsg::Status, timeout)? {
+        ReplMsg::StatusReply(st) => Some(st),
         _ => None,
     }
 }
 
-// --- primary side: streaming ----------------------------------------------
+/// One request/reply exchange with a peer over a fresh connection.
+fn exchange(
+    transport: &dyn Transport,
+    clock: &dyn Clock,
+    addr: &str,
+    msg: &ReplMsg,
+    timeout: Duration,
+) -> Option<ReplMsg> {
+    let mut conn = transport.connect(addr, timeout).ok()?;
+    conn.send(msg.render_line().as_bytes()).ok()?;
+    let mut buf = Vec::new();
+    let line = read_line(conn.as_mut(), &mut buf, timeout, POLL, clock).ok()??;
+    ReplMsg::parse(&line)
+}
 
-/// Streams journal records to one follower; runs on the connection
-/// thread that received the follower's hello. Returns when the link
-/// drops, the server drains, this server stops being primary, or a
-/// chaos-configured link drop fires.
-pub(crate) fn stream_to_follower(
-    shared: &Arc<Shared>,
-    mut conn: Box<dyn Conn>,
-    hello_epoch: u64,
-    mut cursor: u64,
-    hello_pcrc: u32,
-    peer: String,
-) {
-    let Some(repl) = &shared.repl else { return };
+// --- the threaded driver --------------------------------------------------
+
+/// Everything the protocol core decides with, plus the journal it writes
+/// and the outboxes of the follower streams it feeds.
+pub(crate) struct Node {
+    pub(crate) core: Core,
+    journal: Journal,
+    epoch_path: PathBuf,
+    /// Messages for each open follower stream, drained by the stream's
+    /// connection thread; the core's window bounds each one.
+    outbox: HashMap<String, Vec<ReplMsg>>,
+}
+
+struct Disk<'a> {
+    journal: &'a mut Journal,
+    epoch_path: &'a Path,
+}
+
+impl Storage for Disk<'_> {
+    fn append(&mut self, rec: &JournalRecord) -> Result<(), String> {
+        self.journal
+            .append(rec.kind, &rec.rid, &rec.line)
+            .map_err(|e| e.to_string())
+    }
+
+    fn persist_epoch(&mut self, state: EpochState) {
+        // Best effort: an unpersistable epoch costs a deferral after the
+        // next restart, never a split brain (every message carries it).
+        let _ = store_epoch_state(self.epoch_path, state);
+    }
+}
+
+/// The replication half of a durable server: the core behind one lock,
+/// stepped by every thread that has news for it.
+pub(crate) struct Repl {
+    node: Mutex<Node>,
+    /// Signalled when an outbox grows.
+    wake: Condvar,
+    /// True when a replication thread ([`repl_loop`]) owns the core's
+    /// timers; otherwise the follower streams answer them.
+    timer_thread: bool,
+    streams: AtomicU64,
+    chaos_dropped: AtomicBool,
+}
+
+impl Repl {
+    pub(crate) fn new(
+        core: Core,
+        journal: Journal,
+        epoch_path: PathBuf,
+        timer_thread: bool,
+    ) -> Repl {
+        Repl {
+            node: Mutex::new(Node {
+                core,
+                journal,
+                epoch_path,
+                outbox: HashMap::new(),
+            }),
+            wake: Condvar::new(),
+            timer_thread,
+            streams: AtomicU64::new(0),
+            chaos_dropped: AtomicBool::new(false),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Node> {
+        lock_unpoisoned(&self.node)
+    }
+
+    /// Steps the core with its appends and epoch writes done under the
+    /// lock, so no thread observes a role or record before it is
+    /// durable. Sends to open follower streams go to their outboxes;
+    /// every other output is returned to the caller.
+    pub(crate) fn drive(&self, now: Duration, input: Input) -> Vec<Output> {
+        let mut node = self.lock();
+        let Node {
+            core,
+            journal,
+            epoch_path,
+            outbox,
+        } = &mut *node;
+        let mut rest = Vec::new();
+        let mut woke = false;
+        for out in core.step_with(
+            now,
+            input,
+            &mut Disk {
+                journal,
+                epoch_path,
+            },
+        ) {
+            match out {
+                Output::Send(to, msg) => match outbox.get_mut(&to) {
+                    Some(queue) => {
+                        queue.push(msg);
+                        woke = true;
+                    }
+                    None => rest.push(Output::Send(to, msg)),
+                },
+                out => rest.push(out),
+            }
+        }
+        if woke {
+            self.wake.notify_all();
+        }
+        rest
+    }
+
+    pub(crate) fn notify(&self) {
+        self.wake.notify_all();
+    }
+}
+
+/// Serves one follower stream on the connection that sent `hello`:
+/// writes what the core queues for it and feeds the acks back, until
+/// the link drops, the core ends the stream, or the server drains.
+pub(crate) fn serve_stream(shared: &Shared, repl: &Repl, mut conn: Box<dyn Conn>, hello: ReplMsg) {
     let clock = shared.config.clock.as_ref();
-    // A hello from a higher epoch means this server was deposed while it
-    // was away: fence immediately, refuse the stream.
-    if hello_epoch > repl.epoch() {
-        repl.fence(hello_epoch);
-        let _ = conn.send(
-            ReplMsg::Err {
-                code: "RES-STALE-EPOCH".to_string(),
-                epoch: repl.epoch(),
-            }
-            .render_line()
-            .as_bytes(),
-        );
+    let ReplMsg::Hello { from, .. } = &hello else {
         return;
-    }
-    match repl.role_state().role {
-        Role::Primary => {}
-        role => {
-            let code = match role {
-                Role::Fenced => "RES-STALE-EPOCH",
-                _ => "RES-NOT-PRIMARY",
-            };
-            let _ = conn.send(
-                ReplMsg::Err {
-                    code: code.to_string(),
-                    epoch: repl.epoch(),
-                }
-                .render_line()
-                .as_bytes(),
-            );
-            return;
-        }
-    }
-
-    // Resync is only sound when the follower's journal is a strict
-    // prefix of ours. Verify, don't assume: a follower claiming more
-    // records than we hold, or whose prefix checksum disagrees with the
-    // same prefix of our log (a deposed primary with an unreplicated
-    // acked suffix, rejoined as a follower), has *diverged* — streaming
-    // from `have + 1` would silently leave its journal, dedup map, and
-    // retry answers permanently disagreeing with ours.
-    let prefix_matches = {
-        let log = lock_unpoisoned(&repl.log);
-        usize::try_from(cursor)
-            .ok()
-            .and_then(|have| log.get(..have))
-            .is_some_and(|prefix| prefix_crc(prefix) == hello_pcrc)
     };
-    if !prefix_matches {
-        let _ = conn.send(
-            ReplMsg::Err {
-                code: "IO-REPL-CORRUPT".to_string(),
-                epoch: repl.epoch(),
+    let key = format!("{from}#{}", repl.streams.fetch_add(1, Ordering::SeqCst));
+    repl.lock().outbox.insert(key.clone(), Vec::new());
+    repl.drive(clock.now(), Input::Msg(key.clone(), hello));
+    let drop_after = shared.config.repl_chaos.and_then(|c| c.drop_link_after);
+    let idle = shared.config.heartbeat.min(Duration::from_millis(100));
+    let (mut sent, mut buf) = (0u64, Vec::new());
+    'stream: loop {
+        let (batch, live) = {
+            let mut node = repl.lock();
+            if node.outbox.get(&key).is_some_and(Vec::is_empty) && node.core.streams_to(&key) {
+                let wait = match node.core.poll_timeout() {
+                    Some(at) if !repl.timer_thread => at.saturating_sub(clock.now()).min(idle),
+                    _ => idle,
+                };
+                node = repl
+                    .wake
+                    .wait_timeout(node, wait)
+                    .map_or_else(|e| e.into_inner().0, |(guard, _)| guard);
             }
-            .render_line()
-            .as_bytes(),
-        );
-        return;
-    }
-
-    let heartbeat = shared.config.heartbeat;
-    let chaos_drop = shared
-        .config
-        .repl_chaos
-        .as_ref()
-        .and_then(|c| c.drop_link_after);
-    let mut sent_on_conn: u64 = 0;
-    let mut last_sent = clock.now();
-    let mut ackbuf: Vec<u8> = Vec::new();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) || repl.role_state().role != Role::Primary {
-            return;
-        }
-        // Pick up anything appended past the cursor, waiting briefly for
-        // growth so an idle stream doesn't spin.
-        let batch: Vec<JournalRecord> = {
-            let mut log = lock_unpoisoned(&repl.log);
-            if (log.len() as u64) <= cursor {
-                let wait = heartbeat.min(Duration::from_millis(100));
-                let (guard, _) = repl
-                    .log_grew
-                    .wait_timeout(log, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                log = guard;
-            }
-            log.get(cursor as usize..)
-                .map(<[_]>::to_vec)
-                .unwrap_or_default()
+            let batch = node.outbox.get_mut(&key).map(std::mem::take);
+            (batch.unwrap_or_default(), node.core.streams_to(&key))
         };
-        let epoch = repl.epoch();
-        for rec in batch {
-            if let Some(n) = chaos_drop {
-                if sent_on_conn >= n
-                    && repl
-                        .chaos_drops_done
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
+        for msg in batch {
+            if matches!(msg, ReplMsg::Rec { .. }) {
+                if drop_after.is_some_and(|n| sent >= n)
+                    && !repl.chaos_dropped.swap(true, Ordering::SeqCst)
                 {
-                    // Injected ReplLinkDrop: tear the link down once.
-                    return;
+                    break 'stream; // injected ReplLinkDrop, once
                 }
+                sent += 1;
             }
-            let seq = cursor + 1;
-            let crc = crc32(&payload_bytes(rec.kind, &rec.rid, &rec.line));
-            let msg = ReplMsg::Rec {
-                epoch,
-                seq,
-                crc,
-                kind: rec.kind,
-                rid: rec.rid,
-                line: rec.line,
-            };
             if conn.send(msg.render_line().as_bytes()).is_err() {
-                return;
+                break 'stream;
             }
-            cursor = seq;
-            sent_on_conn += 1;
-            last_sent = clock.now();
         }
-        if clock.now().saturating_sub(last_sent) >= heartbeat {
-            let msg = ReplMsg::Hb {
-                epoch,
-                seq: repl.seq(),
-            };
-            if conn.send(msg.render_line().as_bytes()).is_err() {
-                return;
-            }
-            last_sent = clock.now();
+        if !live || shared.draining.load(Ordering::SeqCst) {
+            break;
         }
-        // Drain acks without blocking the stream.
         let mut chunk = [0u8; 1024];
         match conn.recv(&mut chunk, Duration::from_millis(1)) {
-            Ok(n) => {
-                ackbuf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = ackbuf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = ackbuf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    if let Some(ReplMsg::Ack { seq }) = ReplMsg::parse(line.trim_end()) {
-                        let mut acks = lock_unpoisoned(&repl.acks);
-                        let entry = acks.entry(peer.clone()).or_insert(0);
-                        *entry = (*entry).max(seq);
-                    }
-                }
-            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(NetError::Timeout) => {}
-            Err(_) => return,
+            Err(_) => break,
+        }
+        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = buf.drain(..=pos).collect();
+            if let Some(msg @ ReplMsg::Ack { .. }) = ReplMsg::parse(&String::from_utf8_lossy(&line))
+            {
+                repl.drive(clock.now(), Input::Msg(key.clone(), msg));
+            }
+        }
+        let due = repl
+            .lock()
+            .core
+            .poll_timeout()
+            .is_some_and(|at| clock.now() >= at);
+        if due && !repl.timer_thread {
+            repl.drive(clock.now(), Input::Timeout);
         }
     }
+    repl.lock().outbox.remove(&key);
+    repl.drive(clock.now(), Input::Closed(key));
 }
 
-// --- follower side --------------------------------------------------------
-
-/// Why one follower connection ended.
-enum StreamEnd {
-    /// The link dropped or the primary went silent past the grace.
-    Dead,
-    /// The dialed server proved it is stale (lower epoch, or it told us
-    /// so); failover already happened somewhere — arbitrate immediately.
-    Stale,
-    /// The dialed server is not (yet) a primary; retry shortly.
-    NotYet,
-    /// The primary proved our journal is not a prefix of its own
-    /// (`IO-REPL-CORRUPT` at hello): stop replicating, never promote.
-    Diverged,
-    /// This server is draining.
-    Draining,
-}
-
-/// The follower thread: replicate, detect failure, arbitrate, promote.
-/// After a successful promotion it morphs into the guard loop that keeps
-/// the deposed primary fenced.
-pub(crate) fn follower_loop(shared: Arc<Shared>) {
-    let Some(repl) = shared.repl.clone() else {
-        return;
-    };
-    let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let self_addr = lock_unpoisoned(&repl.self_addr).clone();
-    let mut hasher = DefaultHasher::new();
-    self_addr.hash(&mut hasher);
-    let mut rng = SplitMix64::new(0xF0110E5 ^ hasher.finish());
-    let grace = shared.config.failover_grace;
-    let policy = RetryPolicy {
-        max_attempts: u32::MAX,
-        base_backoff: Duration::from_millis(25),
-        max_backoff: (grace / 4).max(Duration::from_millis(25)),
-        retry_overload: false,
-        seed: 0,
-    };
-    let mut attempt: u32 = 0;
-    let mut last_contact = clock.now();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return;
-        }
-        let rs = repl.role_state();
-        let primary = match (rs.role, rs.primary) {
-            (Role::Follower, Some(p)) => p,
-            (Role::Primary, _) => break, // promoted: fall through to the guard
-            _ => return,
-        };
-        let end = match transport.connect(&primary, Duration::from_millis(500)) {
-            Ok(conn) => {
-                attempt = 0;
-                follow_stream(&shared, &repl, conn, &self_addr, &mut last_contact)
-            }
-            Err(_) => StreamEnd::Dead,
-        };
-        match end {
-            StreamEnd::Draining => return,
-            StreamEnd::Diverged => {
-                // Resyncing would silently fork journals; promotion
-                // would serve a history the cluster never agreed on.
-                // Park as a read-only follower until the operator wipes
-                // this journal directory and re-seeds it.
-                repl.diverged.store(true, Ordering::SeqCst);
-                eprintln!(
-                    "replication: journal diverged from primary {primary} \
-                     (IO-REPL-CORRUPT): this follower's journal is not a prefix \
-                     of the primary's; replication stopped and promotion \
-                     disabled — wipe the journal directory and re-seed"
-                );
-                return;
-            }
-            StreamEnd::Stale => {
-                // The old primary is provably deposed: arbitrate now.
-                if !arbitrate(&shared, &repl, &self_addr, &primary) {
-                    return;
-                }
-                last_contact = clock.now();
-            }
-            StreamEnd::Dead | StreamEnd::NotYet => {
-                if clock.now().saturating_sub(last_contact) > grace {
-                    if !arbitrate(&shared, &repl, &self_addr, &primary) {
-                        return;
-                    }
-                    last_contact = clock.now();
-                } else {
-                    clock.sleep(policy.backoff(attempt.min(16), &mut rng));
-                    attempt = attempt.saturating_add(1);
-                }
-            }
-        }
-    }
-    guard_loop(&shared);
-}
-
-/// One connected stretch of following: hello, then append/ack records
-/// until the link ends.
-fn follow_stream(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    mut conn: Box<dyn Conn>,
-    self_addr: &str,
-    last_contact: &mut Duration,
-) -> StreamEnd {
-    let clock = shared.config.clock.as_ref();
-    let hello = {
-        let log = lock_unpoisoned(&repl.log);
-        ReplMsg::Hello {
-            epoch: repl.epoch(),
-            have: log.len() as u64,
-            pcrc: prefix_crc(&log),
-            from: self_addr.to_string(),
-        }
-    };
-    if conn.send(hello.render_line().as_bytes()).is_err() {
-        return StreamEnd::Dead;
-    }
-    *last_contact = clock.now();
-    let grace = shared.config.failover_grace;
-    let lag = shared.config.repl_chaos.as_ref().and_then(|c| c.lag);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return StreamEnd::Draining;
-        }
-        if clock.now().saturating_sub(*last_contact) > grace {
-            return StreamEnd::Dead;
-        }
-        let line = match read_line(conn.as_mut(), &mut buf, POLL, POLL, clock) {
-            Ok(Some(line)) => line,
-            Ok(None) => return StreamEnd::Dead,
-            Err(_) => continue, // poll timeout: re-check drain and grace
-        };
-        match ReplMsg::parse(&line) {
-            Some(ReplMsg::Rec {
-                epoch,
-                seq,
-                crc,
-                kind,
-                rid,
-                line,
-            }) => {
-                if epoch < repl.epoch() {
-                    // Records from a lower epoch are refused, always.
-                    let _ = conn.send(
-                        ReplMsg::Err {
-                            code: "RES-STALE-EPOCH".to_string(),
-                            epoch: repl.epoch(),
+/// The replication thread of a follower, or of a primary with peers: it
+/// owns the core's timers, the follower link and every one-shot peer
+/// exchange, and runs promotion replays.
+pub(crate) fn repl_loop(shared: &Arc<Shared>) {
+    let Some(repl) = &shared.repl else { return };
+    let (clock, transport) = (
+        shared.config.clock.as_ref(),
+        shared.config.transport.as_ref(),
+    );
+    let lag = shared.config.repl_chaos.and_then(|c| c.lag);
+    let mut link: Option<(String, Box<dyn Conn>)> = None;
+    let mut buf = Vec::new();
+    let mut todo: VecDeque<Output> = VecDeque::new();
+    while !shared.draining.load(Ordering::SeqCst) {
+        let next = repl.lock().core.poll_timeout();
+        let wait = next.map_or(POLL, |at| at.saturating_sub(clock.now()).min(POLL));
+        let mut warm = None;
+        let input = match &mut link {
+            Some((peer, conn)) => {
+                match read_line(
+                    conn.as_mut(),
+                    &mut buf,
+                    wait.max(Duration::from_millis(1)),
+                    POLL,
+                    clock,
+                ) {
+                    Err(NetError::Timeout) => None,
+                    Ok(Some(line)) => match ReplMsg::parse(&line) {
+                        Some(msg) => {
+                            if let ReplMsg::Rec {
+                                seq,
+                                kind: RecordKind::Admit,
+                                line,
+                                ..
+                            } = &msg
+                            {
+                                warm = Some((*seq, line.clone()));
+                            }
+                            Some(Input::Msg(peer.clone(), msg))
                         }
-                        .render_line()
-                        .as_bytes(),
-                    );
-                    return StreamEnd::Stale;
+                        None => Some(Input::Closed(peer.clone())),
+                    },
+                    _ => Some(Input::Closed(peer.clone())),
                 }
-                repl.adopt_epoch(epoch);
-                *last_contact = clock.now();
-                let have = repl.seq();
-                if seq <= have {
-                    // Already durable (reconnect overlap): re-ack.
-                    let _ = conn.send(ReplMsg::Ack { seq: have }.render_line().as_bytes());
-                    continue;
+            }
+            None => {
+                clock.sleep(wait);
+                None
+            }
+        };
+        if let Some(input) = input {
+            if matches!(input, Input::Closed(_)) {
+                link = None;
+            }
+            let outs = repl.drive(clock.now(), input);
+            let acked = |seq| {
+                outs.iter()
+                    .any(|o| matches!(o, Output::Send(_, ReplMsg::Ack { seq: s }) if *s == seq))
+            };
+            if let Some((_, line)) = warm.filter(|(seq, _)| acked(*seq)) {
+                warm_sweep(shared, &line);
+            }
+            todo.extend(outs);
+        }
+        if next.is_some_and(|at| clock.now() >= at) {
+            todo.extend(repl.drive(clock.now(), Input::Timeout));
+        }
+        while let Some(out) = todo.pop_front() {
+            let input = match out {
+                Output::Connect(to, msg) => {
+                    buf.clear();
+                    link = transport
+                        .connect(&to, CONNECT_TIMEOUT)
+                        .ok()
+                        .and_then(|mut conn| {
+                            conn.send(msg.render_line().as_bytes())
+                                .ok()
+                                .map(|()| (to.clone(), conn))
+                        });
+                    link.is_none().then_some(Input::Closed(to))
                 }
-                if seq != have + 1 {
-                    // A gap means the stream lost sync; resync fresh.
-                    return StreamEnd::Dead;
-                }
-                if crc32(&payload_bytes(kind, &rid, &line)) != crc {
-                    // IO-REPL-CORRUPT: never append a record that fails
-                    // its checksum; drop the link and resync.
-                    repl.corrupt_refused.fetch_add(1, Ordering::SeqCst);
-                    let _ = conn.send(
-                        ReplMsg::Err {
-                            code: "IO-REPL-CORRUPT".to_string(),
-                            epoch: repl.epoch(),
+                Output::Send(to, msg) => match &mut link {
+                    Some((peer, conn)) if *peer == to => {
+                        if let (ReplMsg::Ack { seq }, Some((lag_seq, delay))) = (&msg, lag) {
+                            if *seq == lag_seq {
+                                clock.sleep(delay); // injected LaggingFollower
+                            }
                         }
-                        .render_line()
-                        .as_bytes(),
-                    );
-                    return StreamEnd::Dead;
-                }
-                if !apply_record(shared, repl, kind, &rid, &line) {
-                    return StreamEnd::Dead;
-                }
-                if let Some((lag_seq, delay)) = lag {
-                    if seq == lag_seq {
-                        // Injected LaggingFollower: stall before the ack.
-                        clock.sleep(delay);
+                        conn.send(msg.render_line().as_bytes()).is_err().then(|| {
+                            link = None;
+                            Input::Closed(to)
+                        })
                     }
+                    _ => None,
+                },
+                Output::Close(to) => {
+                    if link.as_ref().is_some_and(|(peer, _)| *peer == to) {
+                        link = None;
+                    }
+                    None
                 }
-                if conn
-                    .send(ReplMsg::Ack { seq }.render_line().as_bytes())
-                    .is_err()
-                {
-                    return StreamEnd::Dead;
+                Output::Query(to, msg) => {
+                    Some(match exchange(transport, clock, &to, &msg, PEER_TIMEOUT) {
+                        Some(msg) => Input::Msg(to, msg),
+                        None => Input::Closed(to),
+                    })
                 }
-            }
-            Some(ReplMsg::Hb { epoch, seq: _ }) => {
-                if epoch < repl.epoch() {
-                    return StreamEnd::Stale;
+                Output::Execute { rid, line, .. } if !signal::shutdown_requested() => {
+                    let resp = replay_response(shared, &line);
+                    shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
+                    Some(Input::Settle { rid, resp })
                 }
-                repl.adopt_epoch(epoch);
-                *last_contact = clock.now();
+                Output::Promoted(_) => {
+                    install_snapshots(shared);
+                    None
+                }
+                Output::Log(line) => {
+                    eprintln!("{line}");
+                    None
+                }
+                _ => None,
+            };
+            if let Some(input) = input {
+                todo.extend(repl.drive(clock.now(), input));
             }
-            Some(ReplMsg::Err { code, epoch }) => {
-                repl.adopt_epoch(epoch);
-                return match code.as_str() {
-                    "RES-STALE-EPOCH" => StreamEnd::Stale,
-                    "IO-REPL-CORRUPT" => StreamEnd::Diverged,
-                    _ => StreamEnd::NotYet,
-                };
-            }
-            // Anything else on a follower link is a protocol violation.
-            _ => return StreamEnd::Dead,
         }
     }
 }
 
-/// Appends one verified record to the local journal (fsync'd) and keeps
-/// the dedup map and cache warmth current. Returns false on an
-/// unappendable journal (the link is torn down; a resync retries).
-fn apply_record(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    kind: RecordKind,
-    rid: &str,
-    line: &str,
-) -> bool {
-    {
-        let Some(dur) = &shared.durability else {
-            return false;
-        };
-        let mut d = lock_unpoisoned(dur);
-        if d.journal.append(kind, rid, line).is_err() {
-            return false;
-        }
-        if kind != RecordKind::Admit {
-            d.completed
-                .insert(rid.to_string(), (kind, line.to_string()));
-        }
-        let mut log = lock_unpoisoned(&repl.log);
-        log.push(JournalRecord {
-            kind,
-            rid: rid.to_string(),
-            line: line.to_string(),
-        });
-        repl.log_grew.notify_all();
-    }
-    // Replay acked sweep admits into the local cache so this follower's
-    // snapshots stay warm for a future promotion.
-    if kind == RecordKind::Admit {
-        if let Some(tx) = &shared.warm_tx {
-            if let Ok(req) = WireRequest::parse(line) {
-                if let WireOp::Sweep { design, max_i } = req.op {
-                    let _ = tx.send((design, max_i));
-                }
+/// Installs whatever snapshots exist at promotion, without clobbering
+/// warmer in-memory caches.
+fn install_snapshots(shared: &Shared) {
+    if let Some(dir) = &shared.config.journal_dir {
+        let mut fresh = HashMap::new();
+        if install_dir(&dir.join(SNAPSHOT_DIR), &mut fresh).is_ok() {
+            let mut caches = lock_unpoisoned(&shared.caches);
+            for (design, cache) in fresh {
+                caches.entry(design).or_insert(cache);
             }
         }
     }
-    true
+}
+
+/// Feeds an acked sweep admit to the follower's cache warmer, so its
+/// snapshots stay warm for a future promotion.
+fn warm_sweep(shared: &Shared, line: &str) {
+    if let (Some(tx), Ok(req)) = (&shared.warm_tx, WireRequest::parse(line)) {
+        if let WireOp::Sweep { design, max_i } = req.op {
+            let _ = tx.send((design, max_i));
+        }
+    }
 }
 
 /// The cache warmer: replays acked sweep admits into the shared caches
@@ -1181,245 +892,27 @@ pub(crate) fn warm_loop(shared: &Arc<Shared>, rx: &std::sync::mpsc::Receiver<(St
     }
 }
 
-// --- arbitration, promotion, fencing --------------------------------------
+// --- promotion epochs ----------------------------------------------------
 
-/// Decides what to do about a dead (or deposed) primary. Returns `false`
-/// when the follower thread should exit (promoted → guard loop runs
-/// separately via the caller's break, or fenced).
-fn arbitrate(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    self_addr: &str,
-    dead_primary: &str,
-) -> bool {
-    if repl.diverged() {
-        // A diverged journal must never be promoted into the cluster's
-        // history (the follower loop also exits on divergence; this is
-        // belt and braces).
-        return false;
-    }
-    let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let my_epoch = repl.epoch();
-    let my_seq = repl.seq();
-    let mut max_epoch = my_epoch;
-    let mut defer = false;
-    for peer in &shared.config.peers {
-        if peer == self_addr {
-            continue;
-        }
-        let Some(st) = query_status_via(transport, clock, peer, PEER_TIMEOUT) else {
-            continue; // an unreachable peer never blocks failover
-        };
-        if st.nonce == repl.nonce {
-            // `peer` is this very server under an alias (hostname vs
-            // IP, 0.0.0.0 bind): deferring to it would deadlock the
-            // failover forever.
-            continue;
-        }
-        max_epoch = max_epoch.max(st.epoch);
-        if st.role == "primary" && st.epoch >= my_epoch {
-            // Someone already promoted: follow them.
-            repl.set_role(Role::Follower, Some(peer.clone()));
-            return true;
-        }
-        if st.role != "fenced"
-            && (st.seq > my_seq || (st.seq == my_seq && peer.as_str() < self_addr))
-        {
-            // A better-acked (or tie-winning) peer exists: defer to it.
-            eprintln!(
-                "replication: arbitration deferring to {peer} \
-                 (peer seq {} epoch {} vs ours seq {my_seq} epoch {my_epoch})",
-                st.seq, st.epoch
-            );
-            defer = true;
-        }
-    }
-    if defer {
-        // Wait one beat and re-arbitrate; the deferred-to peer either
-        // promotes (we adopt it next round) or dies (we stop deferring).
-        clock.sleep(shared.config.heartbeat);
-        return true;
-    }
-    promote(shared, repl, max_epoch, dead_primary);
-    true
-}
-
-/// This node's collision-free epoch arithmetic: the cluster size
-/// (sorted, deduplicated `peers` ∪ self) and this node's index in it.
-/// Promotion epochs are chosen congruent to the index, so no two
-/// cluster members — even fully partitioned from each other — can ever
-/// promote to the *same* epoch; the strictly-higher-epoch fencing paths
-/// then resolve any duel deterministically once connectivity heals.
-pub fn epoch_stride_slot(peers: &[String], self_addr: &str) -> (u64, u64) {
-    let mut cluster: Vec<&str> = peers
-        .iter()
-        .map(String::as_str)
-        .chain([self_addr])
-        .collect();
+/// The epoch a node at `self_addr` promotes to after observing
+/// `observed` as the highest epoch anywhere: the next epoch congruent to
+/// this node's slot in the sorted, deduplicated cluster (`peers` ∪
+/// self), modulo the cluster size. Collision-free by construction — even
+/// two followers partitioned from each other promote to *different*
+/// epochs, and the strictly-higher-epoch fencing paths resolve the duel
+/// once the partition heals.
+pub fn promotion_epoch(observed: u64, peers: &[String], self_addr: &str) -> u64 {
+    let mut cluster: Vec<&str> = peers.iter().map(String::as_str).collect();
+    cluster.push(self_addr);
     cluster.sort_unstable();
     cluster.dedup();
+    let stride = cluster.len() as u64;
     let slot = cluster
         .iter()
         .position(|a| *a == self_addr)
         .unwrap_or_default() as u64;
-    (cluster.len() as u64, slot)
-}
-
-/// The epoch a node at `self_addr` promotes to after observing
-/// `observed` as the highest epoch anywhere: the next epoch past
-/// `observed` that lands on this node's slot in the cluster.
-/// Collision-free by construction — even two followers partitioned from
-/// each other promote to *different* epochs, and the lower one fences
-/// once the partition heals.
-pub fn promotion_epoch(observed: u64, peers: &[String], self_addr: &str) -> u64 {
-    let (stride, slot) = epoch_stride_slot(peers, self_addr);
-    let mut new_epoch = observed + 1;
-    while new_epoch % stride != slot {
-        new_epoch += 1;
-    }
-    new_epoch
-}
-
-/// Promotes this follower: new epoch, snapshot install, replay of
-/// unsettled records, then primary duty.
-fn promote(shared: &Arc<Shared>, repl: &Arc<ReplState>, observed_epoch: u64, deposed: &str) {
-    repl.set_role(Role::Promoting, None);
-    let new_epoch = {
-        let self_addr = lock_unpoisoned(&repl.self_addr).clone();
-        promotion_epoch(
-            observed_epoch.max(repl.epoch()),
-            &shared.config.peers,
-            &self_addr,
-        )
-    };
-    // Best-effort persistence: an unpersistable epoch costs this server a
-    // deferral after its next restart, never a split brain (the epoch is
-    // still carried on every wire message).
-    let _ = store_epoch(&repl.epoch_path, new_epoch);
-    repl.epoch.store(new_epoch, Ordering::SeqCst);
-    *lock_unpoisoned(&repl.former_primary) = Some(deposed.to_string());
-
-    // Install whatever snapshots exist without clobbering warmer
-    // in-memory caches.
-    if let Some(dir) = &shared.config.journal_dir {
-        let mut fresh = HashMap::new();
-        if install_dir(&dir.join(SNAPSHOT_DIR), &mut fresh).is_ok() {
-            let mut caches = lock_unpoisoned(&shared.caches);
-            for (design, cache) in fresh {
-                caches.entry(design).or_insert(cache);
-            }
-        }
-    }
-
-    // Replay admitted-but-unsettled records so every key the old primary
-    // acked is settled here before the first client request lands. The
-    // log guard is dropped before the durability lock is taken: every
-    // other path (publish_record, apply_record) locks durability first
-    // and the log second, and holding both here in the opposite order
-    // is one refactor away from an ABBA deadlock.
-    let records = lock_unpoisoned(&repl.log).clone();
-    let (completed, incomplete) = fold_records(&records);
-    drop(records);
-    if let Some(dur) = &shared.durability {
-        lock_unpoisoned(dur).completed = completed;
-    }
-    for (rid, line) in incomplete {
-        if signal::shutdown_requested() {
-            break;
-        }
-        replay_request(shared, &rid, &line);
-        shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
-        repl.promoted_replayed.fetch_add(1, Ordering::SeqCst);
-    }
-    persist_snapshots(shared);
-    repl.set_role(Role::Primary, None);
-}
-
-/// Sends one fencing hello to a possibly-revived deposed primary; its
-/// hello handler fences it on sight of our higher epoch. If the reply
-/// proves *we* are the stale side, fence ourselves instead.
-fn fence_hello(
-    transport: &dyn Transport,
-    clock: &dyn Clock,
-    repl: &Arc<ReplState>,
-    target: &str,
-    self_addr: &str,
-) {
-    let Ok(mut conn) = transport.connect(target, PEER_TIMEOUT) else {
-        return;
-    };
-    let hello = {
-        let log = lock_unpoisoned(&repl.log);
-        ReplMsg::Hello {
-            epoch: repl.epoch(),
-            have: log.len() as u64,
-            pcrc: prefix_crc(&log),
-            from: self_addr.to_string(),
-        }
-    };
-    if conn.send(hello.render_line().as_bytes()).is_err() {
-        return;
-    }
-    let mut buf = Vec::new();
-    if let Ok(Some(line)) = read_line(conn.as_mut(), &mut buf, PEER_TIMEOUT, POLL, clock) {
-        match ReplMsg::parse(&line) {
-            Some(ReplMsg::Rec { epoch, .. } | ReplMsg::Hb { epoch, .. })
-                if epoch > repl.epoch() =>
-            {
-                repl.fence(epoch);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// The standing guard: keeps a deposed primary fenced and self-fences
-/// the moment any peer reports a higher epoch — or a primary at the
-/// *same* epoch with a lexicographically smaller address (the
-/// equal-epoch tiebreak; unreachable among configured peers because
-/// promotion epochs are collision-free, but an operator can seed two
-/// servers into the same term by hand). Runs on any server with peers
-/// configured, and on every promoted follower.
-pub(crate) fn guard_loop(shared: &Arc<Shared>) {
-    let Some(repl) = &shared.repl else { return };
-    let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let self_addr = lock_unpoisoned(&repl.self_addr).clone();
-    let interval = shared.config.heartbeat.max(Duration::from_millis(100));
-    while !shared.draining.load(Ordering::SeqCst) {
-        if repl.role_state().role == Role::Primary {
-            let my_epoch = repl.epoch();
-            if let Some(former) = lock_unpoisoned(&repl.former_primary).clone() {
-                fence_hello(transport, clock, repl, &former, &self_addr);
-            }
-            for peer in &shared.config.peers {
-                if peer == &self_addr {
-                    continue;
-                }
-                let Some(st) = query_status_via(transport, clock, peer, PEER_TIMEOUT) else {
-                    continue;
-                };
-                if st.nonce == repl.nonce {
-                    continue; // an alias of this very server
-                }
-                let superseded = st.epoch > my_epoch
-                    || (st.epoch == my_epoch
-                        && st.role == "primary"
-                        && peer.as_str() < self_addr.as_str());
-                if superseded {
-                    eprintln!(
-                        "replication: peer {peer} holds epoch {} (role {}) \
-                         against our epoch {my_epoch}: fencing ourselves",
-                        st.epoch, st.role
-                    );
-                    repl.fence(st.epoch);
-                    break;
-                }
-            }
-        }
-        clock.sleep(interval);
-    }
+    let next = observed + 1;
+    next + (slot + stride - next % stride) % stride
 }
 
 #[cfg(test)]
@@ -1450,14 +943,14 @@ mod tests {
                 epoch: 4,
             },
             ReplMsg::Status,
-            ReplMsg::StatusReply {
+            ReplMsg::StatusReply(StatusView {
                 role: "follower".to_string(),
                 epoch: 2,
                 seq: 5,
                 answered: 3,
                 nonce: (1 << 53) - 1,
                 primary: Some("127.0.0.1:9001".to_string()),
-            },
+            }),
         ];
         for msg in msgs {
             let line = msg.render_line();
@@ -1566,27 +1059,16 @@ mod tests {
         let c = "127.0.0.1:9002".to_string();
         // Each member computes its slot from its own peer list (which
         // omits itself); the cluster view must still agree.
-        let view = |self_addr: &str| {
+        let pick = |observed: u64, me: &String| {
             let peers: Vec<String> = [&a, &b, &c]
-                .iter()
-                .filter(|p| p.as_str() != self_addr)
-                .map(|p| p.to_string())
+                .into_iter()
+                .filter(|p| *p != me)
+                .cloned()
                 .collect();
-            epoch_stride_slot(&peers, self_addr)
-        };
-        let next = |observed: u64, (stride, slot): (u64, u64)| {
-            let mut e = observed + 1;
-            while e % stride != slot {
-                e += 1;
-            }
-            e
+            promotion_epoch(observed, &peers, me)
         };
         for observed in 1..20 {
-            let picks = [
-                next(observed, view(&a)),
-                next(observed, view(&b)),
-                next(observed, view(&c)),
-            ];
+            let picks = [pick(observed, &a), pick(observed, &b), pick(observed, &c)];
             for i in 0..picks.len() {
                 for j in i + 1..picks.len() {
                     assert_ne!(
@@ -1595,15 +1077,18 @@ mod tests {
                     );
                 }
             }
-            for pick in picks {
-                assert!(pick > observed, "promotion must advance the epoch");
+            for p in picks {
+                assert!(
+                    p > observed && p <= observed + 3,
+                    "promotion must advance the epoch"
+                );
             }
         }
         // No peers configured: the classic observed + 1.
-        assert_eq!(next(1, epoch_stride_slot(&[], &a)), 2);
+        assert_eq!(promotion_epoch(1, &[], &a), 2);
         // A self-alias in the peer list only widens the stride.
-        let aliased = epoch_stride_slot(&[a.clone(), "0.0.0.0:9000".to_string()], &a);
-        assert_eq!(aliased.0, 2);
+        let aliased = [a.clone(), "0.0.0.0:9000".to_string()];
+        assert_eq!(promotion_epoch(1, &aliased, &a), 3);
     }
 
     #[test]

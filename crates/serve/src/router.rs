@@ -55,7 +55,7 @@ use lintra_bench::wire::{WireFailure, WireRequest, WireResponse};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
-use crate::replicate::{query_status_via, ReplMsg};
+use crate::replicate::{query_status_via, ReplMsg, StatusView};
 use crate::transport::{read_line, Conn, NetError, TcpTransport, Transport};
 
 /// Poll slice for reads, matching the server's.
@@ -561,14 +561,11 @@ fn connection_loop(shared: &Arc<RouterShared>, mut conn: Box<dyn Conn>) {
         }
         // Replication-style status query: identify as a router.
         if let Some(ReplMsg::Status) = ReplMsg::parse(&line) {
-            let reply = ReplMsg::StatusReply {
+            let reply = ReplMsg::StatusReply(StatusView {
                 role: "router".to_string(),
-                epoch: 0,
-                seq: 0,
-                answered: 0,
                 nonce: shared.nonce,
-                primary: None,
-            };
+                ..StatusView::default()
+            });
             if conn.send(reply.render_line().as_bytes()).is_err() {
                 return;
             }

@@ -65,7 +65,9 @@
 //! a higher epoch exists, every request it receives — pings included —
 //! is refused with `RES-STALE-EPOCH`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -77,6 +79,7 @@ use lintra::engine::{
     snapshot, CacheStats, CancelReason, CancelToken, EngineError, SweepCache, SweepCtl, ThreadPool,
 };
 use lintra::linsys::count::{op_count, TrivialityRule};
+use lintra::matrix::rng::SplitMix64;
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, Strategy, TechConfig};
 use lintra::suite::by_name;
@@ -88,8 +91,9 @@ use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, S
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
-use crate::replicate::{self, ReplChaos, ReplMsg, ReplState, Role};
+use crate::journal::{Journal, SNAPSHOT_DIR};
+use crate::protocol::{Core, CoreConfig, Input, Output};
+use crate::replicate::{self, Repl, ReplChaos, ReplMsg, StatusView};
 use crate::signal;
 use crate::transport::{Acceptor, Conn, NetError, TcpTransport, Transport};
 
@@ -234,17 +238,6 @@ pub struct RecoveryReport {
     pub snapshots_quarantined: usize,
 }
 
-/// Idempotency state guarded by one lock: the journal's append handle,
-/// the settled-key map, and the keys currently executing.
-pub(crate) struct Durability {
-    pub(crate) journal: Journal,
-    /// Settled keys → (how they settled, the exact response line).
-    pub(crate) completed: HashMap<String, (RecordKind, String)>,
-    /// Keys admitted but not yet settled (concurrent duplicates are
-    /// rejected with `RES-DUPLICATE-REQUEST`).
-    inflight_ids: HashSet<String>,
-}
-
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pool: ThreadPool,
@@ -255,11 +248,10 @@ pub(crate) struct Shared {
     /// Shared per-design sweep caches: repeated sweeps reuse the
     /// incremental-unfold chain, and durable servers snapshot them.
     pub(crate) caches: Mutex<HashMap<String, SweepCache>>,
-    /// `Some` iff [`ServerConfig::journal_dir`] was set.
-    pub(crate) durability: Option<Mutex<Durability>>,
-    /// Replication state (`Some` iff durable — every durable server can
-    /// stream to followers; only configured followers dial out).
-    pub(crate) repl: Option<Arc<ReplState>>,
+    /// The journal and the replication core (`Some` iff durable — every
+    /// durable server can stream to followers; only configured followers
+    /// dial out).
+    pub(crate) repl: Option<Repl>,
     /// Feed of acked sweep admits for the follower's cache warmer.
     pub(crate) warm_tx: Option<std::sync::mpsc::Sender<(String, u32)>>,
 }
@@ -333,17 +325,16 @@ impl ServerHandle {
     /// Replication role, epoch, and progress (`None` on a stateless
     /// server — replication requires durability).
     pub fn role_info(&self) -> Option<RoleInfo> {
-        let repl = self.shared.repl.as_ref()?;
-        let rs = repl.role_state();
-        let fenced_by = repl.fenced_by.load(Ordering::SeqCst);
+        let node = self.shared.repl.as_ref()?.lock();
+        let core = &node.core;
         Some(RoleInfo {
-            role: rs.role.label(),
-            epoch: repl.epoch(),
-            seq: repl.seq(),
-            primary: rs.primary,
-            fenced_by: (fenced_by != 0).then_some(fenced_by),
-            promoted_replayed: repl.promoted_replayed.load(Ordering::SeqCst),
-            diverged: repl.diverged(),
+            role: core.role().label(),
+            epoch: core.epoch(),
+            seq: core.seq(),
+            primary: core.primary().map(str::to_string),
+            fenced_by: core.fenced_by(),
+            promoted_replayed: core.promoted_replayed(),
+            diverged: core.diverged(),
         })
     }
 
@@ -371,7 +362,7 @@ impl ServerHandle {
         }
         // Wake any idle follower streams so they observe the drain.
         if let Some(repl) = &self.shared.repl {
-            repl.log_grew.notify_all();
+            repl.notify();
         }
         for h in std::mem::take(&mut self.repl_threads) {
             let _ = h.join();
@@ -455,10 +446,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
 
     // Recover durable state before anything can observe the server.
     let mut recovery = None;
-    let mut durability = None;
-    let mut repl = None;
+    let mut durable = None;
     let mut caches: HashMap<String, SweepCache> = HashMap::new();
-    let mut incomplete: Vec<(String, String)> = Vec::new();
     if let Some(dir) = &config.journal_dir {
         let (journal, rec) =
             Journal::open_dir_with(dir, config.journal_rotate_bytes).map_err(LintraError::from)?;
@@ -470,28 +459,18 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         };
         load_snapshots(&dir.join(SNAPSHOT_DIR), &mut caches, &mut report)
             .map_err(LintraError::from)?;
-        incomplete = rec.incomplete;
         recovery = Some(report);
         let epoch_dir = config.epoch_dir.as_ref().unwrap_or(dir);
         std::fs::create_dir_all(epoch_dir).map_err(LintraError::from)?;
         // A corrupt epoch file is a startup error: silently resetting
         // it to epoch 1 could revive a fenced primary at a stale term.
-        repl = Some(Arc::new(
-            ReplState::new(
-                epoch_dir.join(replicate::EPOCH_FILE),
-                config.replica_of.clone(),
-                rec.records,
-                config.clock.as_ref(),
-            )
-            .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?,
-        ));
-        durability = Some(Mutex::new(Durability {
-            journal,
-            completed: rec.completed,
-            inflight_ids: HashSet::new(),
-        }));
+        let epoch_path = epoch_dir.join(replicate::EPOCH_FILE);
+        let state = replicate::load_epoch_state(&epoch_path)
+            .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?;
+        durable = Some((journal, rec.records, state, epoch_path));
     }
     let is_follower = config.replica_of.is_some();
+    let timer_thread = is_follower || !config.peers.is_empty();
 
     let listener = config
         .transport
@@ -507,12 +486,34 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             ),
         )
     })?;
-    if let Some(repl) = &repl {
-        *lock_unpoisoned(&repl.self_addr) = addr.to_string();
-    }
 
-    let spawn_warmer = is_follower;
-    let (warm_tx, warm_rx) = if spawn_warmer {
+    let mut boot = Vec::new();
+    let repl = durable.map(|(journal, records, state, epoch_path)| {
+        let cfg = CoreConfig {
+            self_addr: addr.to_string(),
+            peers: config.peers.clone(),
+            replica_of: config.replica_of.clone(),
+            heartbeat: config.heartbeat,
+            grace: config.failover_grace,
+            peer_timeout: replicate::PEER_TIMEOUT,
+            nonce: process_nonce(&epoch_path, config.clock.as_ref()),
+            source: config.journal_rotate_bytes.is_none(),
+        };
+        let (core, outs) = Core::new(cfg, config.clock.now(), records, state);
+        for out in outs {
+            match out {
+                // An explicit --replica-of rejoin clears a persisted
+                // fence: the operator chose a primary to resync from.
+                Output::PersistEpoch(state) => {
+                    let _ = replicate::store_epoch_state(&epoch_path, state);
+                }
+                out => boot.push(out),
+            }
+        }
+        Repl::new(core, journal, epoch_path, timer_thread)
+    });
+
+    let (warm_tx, warm_rx) = if is_follower {
         let (tx, rx) = std::sync::mpsc::channel();
         (Some(tx), Some(rx))
     } else {
@@ -527,23 +528,26 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         draining: AtomicBool::new(false),
         stats: Counters::default(),
         caches: Mutex::new(caches),
-        durability,
         repl,
         warm_tx,
     });
 
     // Replay unfinished admissions synchronously: each settles with a
     // journaled completion, so a retry of its key dedups instead of
-    // recomputing. A follower skips this — its unsettled records replay
-    // at promotion, when it becomes the one answering for them. A
-    // shutdown signal aborts the replay at the next record boundary.
+    // recomputing. Only a primary boots with replays — a follower's
+    // unsettled records replay at promotion. A shutdown signal aborts
+    // the replay at the next record boundary.
     let mut replayed = 0usize;
-    if !is_follower {
-        for (rid, line) in incomplete {
+    if let Some(repl) = &shared.repl {
+        for out in boot {
+            let Output::Execute { rid, line, .. } = out else {
+                continue;
+            };
             if signal::shutdown_requested() {
                 break;
             }
-            replay_request(&shared, &rid, &line);
+            let resp = replay_response(&shared, &line);
+            repl.drive(shared.config.clock.now(), Input::Settle { rid, resp });
             shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
             replayed += 1;
         }
@@ -561,16 +565,13 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     };
 
     let mut repl_threads = Vec::new();
-    if is_follower {
+    if shared.repl.is_some() && timer_thread {
         let sh = Arc::clone(&shared);
-        repl_threads.push(thread::spawn(move || replicate::follower_loop(sh)));
-        if let Some(rx) = warm_rx {
-            let sh = Arc::clone(&shared);
-            repl_threads.push(thread::spawn(move || replicate::warm_loop(&sh, &rx)));
-        }
-    } else if shared.repl.is_some() && !shared.config.peers.is_empty() {
+        repl_threads.push(thread::spawn(move || replicate::repl_loop(&sh)));
+    }
+    if let Some(rx) = warm_rx {
         let sh = Arc::clone(&shared);
-        repl_threads.push(thread::spawn(move || replicate::guard_loop(&sh)));
+        repl_threads.push(thread::spawn(move || replicate::warm_loop(&sh, &rx)));
     }
 
     Ok(ServerHandle {
@@ -598,26 +599,11 @@ fn load_snapshots(
     Ok(())
 }
 
-/// Appends one record to the in-memory replication log and wakes idle
-/// follower streams. Called with the durability lock held, right after
-/// the matching journal append succeeded, so the log mirrors the journal
-/// byte-for-byte and in order.
-fn publish_record(shared: &Shared, kind: RecordKind, rid: &str, line: &str) {
-    let Some(repl) = &shared.repl else { return };
-    let mut log = lock_unpoisoned(&repl.log);
-    log.push(JournalRecord {
-        kind,
-        rid: rid.to_string(),
-        line: line.trim_end_matches('\n').to_string(),
-    });
-    repl.log_grew.notify_all();
-}
-
-/// Re-executes one journaled-but-unfinished request at startup and
-/// journals its completion. The original client is gone; what matters
-/// is that the key settles so retries are answered from the journal.
-pub(crate) fn replay_request(shared: &Arc<Shared>, rid: &str, line: &str) {
-    let resp = match WireRequest::parse(line) {
+/// Re-executes one journaled-but-unfinished request (startup recovery
+/// or promotion). The original client is gone; what matters is that the
+/// key settles so retries are answered from the journal.
+pub(crate) fn replay_response(shared: &Arc<Shared>, line: &str) -> WireResponse {
+    match WireRequest::parse(line) {
         Ok(req) => {
             let budget = req
                 .deadline_ms
@@ -640,41 +626,25 @@ pub(crate) fn replay_request(shared: &Arc<Shared>, rid: &str, line: &str) {
                 message: format!("journaled request no longer parses: {reason}"),
             },
         ),
-    };
-    settle(shared, rid, &resp);
-}
-
-/// How a completed attempt is recorded: deterministic outcomes serve
-/// retries; resource/I-O outcomes settle the admit but let retries
-/// recompute.
-fn completion_kind(resp: &WireResponse) -> RecordKind {
-    match &resp.outcome {
-        Ok(_) => RecordKind::Done,
-        Err(f) => match f.class {
-            ErrorClass::Validation | ErrorClass::Numerical | ErrorClass::Convergence => {
-                RecordKind::Fail
-            }
-            ErrorClass::Resource | ErrorClass::Io => RecordKind::Abort,
-        },
     }
 }
 
-/// Journals a completion and publishes it to the dedup map. Append
-/// errors are tolerated: the admit record alone means a crash replays
-/// the request, which is the safe direction.
-fn settle(shared: &Arc<Shared>, rid: &str, resp: &WireResponse) {
-    let Some(dur) = &shared.durability else {
-        return;
-    };
-    let kind = completion_kind(resp);
-    let line = resp.render_line();
-    let trimmed = line.trim_end().to_string();
-    let mut d = lock_unpoisoned(dur);
-    d.inflight_ids.remove(rid);
-    if d.journal.append(kind, rid, &trimmed).is_ok() {
-        publish_record(shared, kind, rid, &trimmed);
-    }
-    d.completed.insert(rid.to_string(), (kind, trimmed));
+/// A per-process identity for status replies, so a status query that
+/// loops back to this very server (hostname vs IP alias, `0.0.0.0`
+/// bind) is recognized as self, not a peer. A process-wide counter keeps
+/// it unique within this process even under a frozen clock, the pid
+/// separates processes on one host, and the monotonic clock separates
+/// hosts.
+fn process_nonce(epoch_path: &std::path::Path, clock: &dyn Clock) -> u64 {
+    static NONCE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut hasher = DefaultHasher::new();
+    std::process::id().hash(&mut hasher);
+    epoch_path.hash(&mut hasher);
+    NONCE_SEQ.fetch_add(1, Ordering::SeqCst).hash(&mut hasher);
+    clock.now().hash(&mut hasher);
+    // JSON numbers are f64: keep the nonce within 2^53 so it round-trips
+    // the wire exactly.
+    SplitMix64::new(hasher.finish()).next_u64() & ((1 << 53) - 1)
 }
 
 /// Best-effort checkpoint of every warm sweep cache into the durability
@@ -754,22 +724,20 @@ fn connection_loop(shared: &Arc<Shared>, mut conn: Box<dyn Conn>) {
             // be able to ask a standalone server who it is, and the
             // reply's `stateless` role is how they learn it serves.
             if let Some(msg) = ReplMsg::parse(line) {
-                match msg {
-                    ReplMsg::Status => {
-                        let reply = status_reply(shared);
+                match (msg, &shared.repl) {
+                    (ReplMsg::Status, repl) => {
+                        let reply = match repl {
+                            Some(repl) => repl.lock().core.status(),
+                            None => stateless_status(),
+                        };
                         if conn.send(reply.render_line().as_bytes()).is_err() {
                             return;
                         }
                         continue;
                     }
-                    ReplMsg::Hello {
-                        epoch,
-                        have,
-                        pcrc,
-                        from,
-                    } if shared.repl.is_some() => {
+                    (hello @ ReplMsg::Hello { .. }, Some(repl)) => {
                         // The connection becomes a follower stream.
-                        replicate::stream_to_follower(shared, conn, epoch, have, pcrc, from);
+                        replicate::serve_stream(shared, repl, conn, hello);
                         return;
                     }
                     // Anything else arriving cold — or a follower
@@ -844,35 +812,13 @@ fn connection_loop(shared: &Arc<Shared>, mut conn: Box<dyn Conn>) {
     }
 }
 
-/// Renders this server's replication status (role, epoch, sequence,
-/// answered keys) for a `{"repl":"status"}` query.
-fn status_reply(shared: &Arc<Shared>) -> ReplMsg {
-    let answered = shared
-        .durability
-        .as_ref()
-        .map(|d| lock_unpoisoned(d).completed.len() as u64)
-        .unwrap_or(0);
-    match &shared.repl {
-        Some(repl) => {
-            let rs = repl.role_state();
-            ReplMsg::StatusReply {
-                role: rs.role.label().to_string(),
-                epoch: repl.epoch(),
-                seq: repl.seq(),
-                answered,
-                nonce: repl.nonce,
-                primary: rs.primary,
-            }
-        }
-        None => ReplMsg::StatusReply {
-            role: "stateless".to_string(),
-            epoch: 0,
-            seq: 0,
-            answered,
-            nonce: 0,
-            primary: None,
-        },
-    }
+/// A stateless server's answer to a status query: health probers (the
+/// sharded router's, an operator's) learn from the role that it serves.
+fn stateless_status() -> ReplMsg {
+    ReplMsg::StatusReply(StatusView {
+        role: "stateless".to_string(),
+        ..StatusView::default()
+    })
 }
 
 fn failure_of(e: &LintraError) -> WireFailure {
@@ -950,51 +896,17 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
         return reject(&req.id, ErrorClass::Validation, "VAL-CONFIG", reason);
     }
 
-    // Replication role gate. A fenced server refuses everything — pings
-    // included — so nothing keeps trusting a deposed primary. A
-    // follower answers pings (health) but sends compute to the primary.
-    if let Some(repl) = &shared.repl {
-        let rs = repl.role_state();
-        match rs.role {
-            Role::Fenced => {
-                shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                let by = repl.fenced_by.load(Ordering::SeqCst);
-                let epoch = repl.epoch();
-                // After a restart the superseded epoch is no longer
-                // known — the epoch file only carries the superseding
-                // one — so name just the fence in that case.
-                let message = if epoch < by {
-                    format!(
-                        "epoch {epoch} was superseded by epoch {by}; this server is \
-                         fenced — talk to the current primary"
-                    )
-                } else {
-                    format!(
-                        "this server is durably fenced as of epoch {by} — talk to the \
-                         current primary, or rejoin it with --replica-of"
-                    )
-                };
-                return reject(&req.id, ErrorClass::Resource, "RES-STALE-EPOCH", message);
-            }
-            Role::Follower | Role::Promoting if !matches!(req.op, WireOp::Ping) => {
-                shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                let hint = rs
-                    .primary
-                    .map(|p| format!("; the primary is {p}"))
-                    .unwrap_or_default();
-                return reject(
-                    &req.id,
-                    ErrorClass::Resource,
-                    "RES-NOT-PRIMARY",
-                    format!(
-                        "this server is a {} replica and does not accept compute \
-                         requests{hint}",
-                        rs.role.label()
-                    ),
-                );
-            }
-            _ => {}
-        }
+    // Replication role gate (the core's): a fenced server refuses
+    // everything, pings included; a follower answers pings but sends
+    // compute to the primary.
+    let ping = matches!(req.op, WireOp::Ping);
+    if let Some(f) = shared
+        .repl
+        .as_ref()
+        .and_then(|r| r.lock().core.refusal(ping))
+    {
+        shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
+        return LineOutcome::Respond(WireResponse::err(req.id, f));
     }
 
     // Chaos gate: reject typos always, reject injection on production
@@ -1038,7 +950,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
 
     // Liveness probe: outside admission control and the breaker, so
     // health checks keep answering under overload or an open circuit.
-    if matches!(req.op, WireOp::Ping) {
+    if ping {
         shared.stats.requests_ok.fetch_add(1, Ordering::SeqCst);
         return LineOutcome::Respond(WireResponse::ok(
             req.id,
@@ -1074,68 +986,37 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
         );
     }
 
-    // Durable idempotency (keyed requests on a durable server only):
-    // a settled key answers from the journal bit-identically with zero
-    // recompute; a key still executing is rejected; a fresh key is
-    // journaled and fsync'd *before* execution begins, so a crash
-    // between here and the response replays it on restart.
-    let mut journaled = false;
-    if let (Some(dur), Some(rid)) = (&shared.durability, req.request_id.as_deref()) {
-        let mut d = lock_unpoisoned(dur);
-        if let Some((kind, stored)) = d.completed.get(rid) {
-            if kind.serves_retries() {
-                let stored = stored.clone();
-                drop(d);
-                shared.stats.deduped.fetch_add(1, Ordering::SeqCst);
-                return match WireResponse::parse(&stored) {
-                    Ok(mut resp) => {
-                        // The result bytes are the journaled bytes; only
-                        // the correlation id echoes the retry's.
-                        resp.id = req.id.clone();
-                        if resp.outcome.is_ok() {
-                            shared.stats.requests_ok.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        LineOutcome::Respond(resp)
+    // Durable idempotency (keyed requests on a durable server only),
+    // decided by the core: a settled key answers from the journal
+    // bit-identically with zero recompute; a key still executing is
+    // rejected; a fresh key is journaled and fsync'd *before* execution
+    // begins, so a crash between here and the response replays it.
+    let mut journaled = None;
+    if let (Some(repl), Some(rid)) = (&shared.repl, req.request_id.as_deref()) {
+        let admit = Input::Admit {
+            from: String::new(),
+            id: req.id.clone(),
+            rid: rid.to_string(),
+            line: line.to_string(),
+        };
+        for out in repl.drive(shared.config.clock.now(), admit) {
+            match out {
+                Output::Reply { resp, dedup, .. } => {
+                    let counter = if resp.outcome.is_ok() {
+                        &shared.stats.requests_ok
+                    } else {
+                        &shared.stats.requests_failed
+                    };
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    if dedup {
+                        shared.stats.deduped.fetch_add(1, Ordering::SeqCst);
                     }
-                    Err(e) => {
-                        shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                        reject(
-                            &req.id,
-                            ErrorClass::Io,
-                            "IO-FAILURE",
-                            format!("journaled response for request_id `{rid}` is unreadable: {e}"),
-                        )
-                    }
-                };
+                    return LineOutcome::Respond(resp);
+                }
+                Output::Execute { rid, .. } => journaled = Some((repl, rid)),
+                _ => {}
             }
-            // An aborted attempt (resource/I-O) settles the admit but
-            // earns the retry a fresh execution: fall through.
         }
-        if !d.inflight_ids.insert(rid.to_string()) {
-            drop(d);
-            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-            return reject(
-                &req.id,
-                ErrorClass::Resource,
-                "RES-DUPLICATE-REQUEST",
-                format!("request_id `{rid}` is already executing; await its outcome, then retry"),
-            );
-        }
-        if let Err(e) = d.journal.append(RecordKind::Admit, rid, line) {
-            d.inflight_ids.remove(rid);
-            drop(d);
-            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-            return reject(
-                &req.id,
-                ErrorClass::Io,
-                "IO-FAILURE",
-                format!("write-ahead journal append failed: {e}"),
-            );
-        }
-        publish_record(shared, RecordKind::Admit, rid, line);
-        journaled = true;
     }
 
     // Deadline fixed at admission; observed between sweep points.
@@ -1166,10 +1047,12 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
             WireResponse::err(req.id.clone(), failure_of(&e))
         }
     };
-    if journaled {
-        if let Some(rid) = req.request_id.as_deref() {
-            settle(shared, rid, &resp);
-        }
+    if let Some((repl, rid)) = journaled {
+        let settle = Input::Settle {
+            rid,
+            resp: resp.clone(),
+        };
+        repl.drive(shared.config.clock.now(), settle);
     }
     LineOutcome::Respond(resp)
 }

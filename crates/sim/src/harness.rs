@@ -1,8 +1,9 @@
-//! The simulation harness: one binary heap of timestamped events drives
-//! N simulated nodes and M clients through a seeded fault schedule —
-//! partitions (full, asymmetric, partial), message loss, duplication
-//! and jitter, node crashes and restarts, per-node clock skew — and
-//! machine-checks the cluster's invariants after **every** event:
+//! The cluster simulation: N replicated nodes and M clients driven
+//! through a seeded fault schedule — partitions (full, asymmetric,
+//! partial), message loss, duplication and jitter, node crashes and
+//! restarts, per-node clock skew — on the shared event loop
+//! ([`crate::world`]), which machine-checks the node-level invariants
+//! after **every** event:
 //!
 //! 1. at most one unfenced primary per epoch;
 //! 2. every acked journal prefix is byte-identical to the journal of
@@ -13,52 +14,14 @@
 //! 5. once faults stop, the cluster re-converges to exactly one
 //!    unfenced primary and every request — including post-heal probes —
 //!    settles within the run's virtual-time bound.
-//!
-//! Everything is a pure function of `(seed, config)`: events are
-//! ordered by `(virtual time, insertion seq)`, all randomness comes
-//! from one `SplitMix64` consumed in event order, and no hash-map
-//! iteration order ever reaches the event queue.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use lintra::matrix::rng::SplitMix64;
-use lintra::ErrorClass;
-use lintra_bench::wire::{WireOp, WireRequest, WireResponse};
-use lintra_serve::replicate::{ReplMsg, Role};
+use lintra_bench::wire::WireResponse;
 
-use crate::cluster::{NodeTimer, Out, SimNode};
-use crate::{Scripted, SimConfig, SimReport};
+use crate::world::{keyed_request, terminal, Actors, Labels, Net, World};
+use crate::{Scripted, SimBug, SimConfig, SimReport};
 
-/// Sentinel incarnation for deliveries addressed to clients (clients
-/// never crash, so the check never fires for them).
-const CLIENT_INC: u64 = u64::MAX;
-
-/// Hard ceiling on processed events: a scheduling bug must fail the
-/// run, not hang the test suite.
-const MAX_EVENTS: u64 = 2_000_000;
-
-/// Stop collecting after this many violations; one broken invariant
-/// tends to echo.
-const MAX_VIOLATIONS: usize = 32;
-
-#[derive(Debug)]
 enum Ev {
-    NodeTick {
-        node: usize,
-        inc: u64,
-    },
-    NodeTimer {
-        node: usize,
-        inc: u64,
-        timer: NodeTimer,
-    },
-    Deliver {
-        from: String,
-        to: String,
-        to_inc: u64,
-        line: String,
-    },
     ClientTimeout {
         client: usize,
         token: u64,
@@ -67,12 +30,6 @@ enum Ev {
         client: usize,
         token: u64,
     },
-    Fault(FaultEv),
-    End,
-}
-
-#[derive(Debug, Clone)]
-enum FaultEv {
     Crash(usize),
     Restart(usize),
     /// Directed link cut: messages `from → to` are dropped.
@@ -81,29 +38,7 @@ enum FaultEv {
     /// Faults stop: clear every cut, zero loss/duplication, restart
     /// every crashed node, and issue the convergence probes.
     HealAll,
-}
-
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    End,
 }
 
 /// One simulated client: walks the endpoint list on refusals and
@@ -121,515 +56,168 @@ struct SimClient {
     waiting: bool,
 }
 
-pub(crate) struct Harness<'a> {
+struct Harness<'a> {
     cfg: &'a SimConfig,
-    seed: u64,
-    nodes: Vec<SimNode>,
-    node_addrs: Vec<String>,
+    addrs: Vec<String>,
     clients: Vec<SimClient>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
-    now: u64,
-    rng: SplitMix64,
-    cuts: HashSet<(String, String)>,
-    drop_permille: u64,
-    dup_permille: u64,
-    /// First terminal response line per rid: the byte-identity oracle.
-    settled: HashMap<String, String>,
-    violations: Vec<String>,
-    seen_violations: HashSet<String>,
-    trace: Vec<String>,
-    events: u64,
     answered: u64,
-    faults_end: u64,
     final_primaries: usize,
 }
 
 pub(crate) fn run(seed: u64, cfg: &SimConfig) -> SimReport {
-    let mut h = Harness::new(seed, cfg);
-    h.setup();
-    h.run_loop();
-    h.report()
+    let addrs: Vec<String> = (0..cfg.nodes.max(1)).map(|i| format!("n{i}")).collect();
+    let net = Net {
+        net_ms: cfg.net_ms,
+        jitter_ms: cfg.jitter_ms,
+        exec_ms: cfg.exec_ms,
+        drop_permille: cfg.drop_permille,
+        dup_permille: cfg.dup_permille,
+        heartbeat_ms: cfg.tick_ms,
+        grace_ms: cfg.grace_ms,
+    };
+    let labels = Labels {
+        split: "invariant 1",
+        recompute: "invariant 3",
+        frozen: "invariant 4",
+        answer: "invariant 3",
+    };
+    let rng = SplitMix64::new(seed ^ 0x5EED_0F5E_ED00);
+    let peerless = cfg.bug == SimBug::CollidingPromotionEpoch;
+    let mut w = World::new(rng, std::slice::from_ref(&addrs), net, labels, peerless);
+    let clients = (0..cfg.clients)
+        .map(|i| SimClient {
+            name: format!("c{i}"),
+            cursor: 0,
+            work: (0..cfg.requests_per_client)
+                .map(|j| format!("c{i}-r{j}"))
+                .collect(),
+            idx: 0,
+            dup_done: false,
+            token: 0,
+            waiting: false,
+        })
+        .collect();
+    let mut h = Harness {
+        cfg,
+        addrs,
+        clients,
+        answered: 0,
+        final_primaries: 0,
+    };
+    h.setup(&mut w);
+    w.run(&mut h);
+    SimReport {
+        seed,
+        events: w.events,
+        answered: h.answered,
+        settled: w.settled.len() as u64,
+        deduped: w.nodes.iter().map(|n| n.deduped).sum(),
+        promotions: w.nodes.iter().map(|n| n.promotions).sum(),
+        fences: w.nodes.iter().map(|n| n.fences).sum(),
+        final_primaries: h.final_primaries,
+        violations: w.violations,
+        trace: w.trace,
+    }
 }
 
-impl<'a> Harness<'a> {
-    fn new(seed: u64, cfg: &'a SimConfig) -> Harness<'a> {
-        let n = cfg.nodes.max(1);
-        let node_addrs: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
-        let nodes = (0..n)
-            .map(|i| {
-                let replica_of = (i != 0).then(|| node_addrs[0].clone());
-                SimNode::new(i, node_addrs.clone(), replica_of)
-            })
-            .collect();
-        let clients = (0..cfg.clients)
-            .map(|i| SimClient {
-                name: format!("c{i}"),
-                cursor: 0,
-                work: (0..cfg.requests_per_client)
-                    .map(|j| format!("c{i}-r{j}"))
-                    .collect(),
-                idx: 0,
-                dup_done: false,
-                token: 0,
-                waiting: false,
-            })
-            .collect();
-        Harness {
-            cfg,
-            seed,
-            nodes,
-            node_addrs,
-            clients,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-            rng: SplitMix64::new(seed ^ 0x5EED_0F5E_ED00),
-            cuts: HashSet::new(),
-            drop_permille: cfg.drop_permille,
-            dup_permille: cfg.dup_permille,
-            settled: HashMap::new(),
-            violations: Vec::new(),
-            seen_violations: HashSet::new(),
-            trace: Vec::new(),
-            events: 0,
-            answered: 0,
-            faults_end: (cfg.sim_ms * 3 / 5).max(1),
-            final_primaries: 0,
-        }
-    }
-
-    fn setup(&mut self) {
+impl Harness<'_> {
+    fn setup(&mut self, w: &mut World<Ev>) {
         if self.cfg.skew {
-            for node in &mut self.nodes {
+            for node in &mut w.nodes {
                 // Timers on this node run 0.8x–1.2x real rate.
-                node.skew_num = 8 + self.rng.next_u64() % 5;
+                node.skew = 8 + w.rng.next_u64() % 5;
             }
         }
-        self.plan_faults();
-        for i in 0..self.nodes.len() {
-            let at = self.tick_delay(i) + i as u64; // staggered first ticks
-            let inc = self.nodes[i].incarnation;
-            self.schedule(at, Ev::NodeTick { node: i, inc });
+        self.plan_faults(w);
+        for i in 0..w.nodes.len() {
+            w.start(i, false);
         }
         for ci in 0..self.clients.len() {
-            self.client_send(ci);
+            self.client_send(w, ci);
         }
-        self.schedule(self.cfg.sim_ms, Ev::End);
+        w.schedule(self.cfg.sim_ms, Ev::End);
     }
 
     /// Seeds the fault schedule: randomized crashes and partitions when
     /// `auto_faults` is on, plus any scripted faults, plus the heal
     /// barrier at 3/5 of the run after which convergence is demanded.
-    fn plan_faults(&mut self) {
-        let end = self.faults_end;
+    fn plan_faults(&mut self, w: &mut World<Ev>) {
+        let end = (self.cfg.sim_ms * 3 / 5).max(1);
         let lo = self.cfg.sim_ms / 8;
         let span = end.saturating_sub(lo).max(1);
-        let n = self.nodes.len();
+        let n = self.addrs.len();
+        let addr = |i: usize| self.addrs[i % n].clone();
         if self.cfg.auto_faults {
             for _ in 0..self.cfg.crash_faults {
-                let t = lo + self.rng.next_u64() % span;
-                let i = (self.rng.next_u64() % n as u64) as usize;
-                let dur = self.cfg.sim_ms / 10 + self.rng.next_u64() % (self.cfg.sim_ms / 5).max(1);
-                self.schedule(t, Ev::Fault(FaultEv::Crash(i)));
-                self.schedule((t + dur).min(end - 1), Ev::Fault(FaultEv::Restart(i)));
+                let t = lo + w.rng.next_u64() % span;
+                let i = (w.rng.next_u64() % n as u64) as usize;
+                let dur = self.cfg.sim_ms / 10 + w.rng.next_u64() % (self.cfg.sim_ms / 5).max(1);
+                w.schedule(t, Ev::Crash(i));
+                w.schedule((t + dur).min(end - 1), Ev::Restart(i));
             }
             for _ in 0..self.cfg.partition_faults {
-                let t = lo + self.rng.next_u64() % span;
-                let dur = self.cfg.sim_ms / 10 + self.rng.next_u64() % (self.cfg.sim_ms / 5).max(1);
+                let t = lo + w.rng.next_u64() % span;
+                let dur = self.cfg.sim_ms / 10 + w.rng.next_u64() % (self.cfg.sim_ms / 5).max(1);
                 let until = (t + dur).min(end - 1);
-                let a = (self.rng.next_u64() % n as u64) as usize;
-                let b = (a + 1 + (self.rng.next_u64() % (n as u64 - 1).max(1)) as usize) % n;
-                let kind = self.rng.next_u64() % 3;
-                let mut links: Vec<(String, String)> = Vec::new();
-                match kind {
+                let a = (w.rng.next_u64() % n as u64) as usize;
+                let b = (a + 1 + (w.rng.next_u64() % (n as u64 - 1).max(1)) as usize) % n;
+                let others = (0..n).filter(|p| *p != a);
+                let links: Vec<(String, String)> = match w.rng.next_u64() % 3 {
                     // Full isolation: node `a` loses both directions.
-                    0 => {
-                        for p in 0..n {
-                            if p != a {
-                                links
-                                    .push((self.node_addrs[a].clone(), self.node_addrs[p].clone()));
-                                links
-                                    .push((self.node_addrs[p].clone(), self.node_addrs[a].clone()));
-                            }
-                        }
-                    }
+                    0 => others
+                        .flat_map(|p| [(addr(a), addr(p)), (addr(p), addr(a))])
+                        .collect(),
                     // Asymmetric: `a` can send but hears nothing back.
-                    1 => {
-                        for p in 0..n {
-                            if p != a {
-                                links
-                                    .push((self.node_addrs[p].clone(), self.node_addrs[a].clone()));
-                            }
-                        }
-                    }
+                    1 => others.map(|p| (addr(p), addr(a))).collect(),
                     // Partial: one pair severed both ways.
-                    _ => {
-                        links.push((self.node_addrs[a].clone(), self.node_addrs[b].clone()));
-                        links.push((self.node_addrs[b].clone(), self.node_addrs[a].clone()));
-                    }
-                }
+                    _ => vec![(addr(a), addr(b)), (addr(b), addr(a))],
+                };
                 for (x, y) in links {
-                    self.schedule(t, Ev::Fault(FaultEv::Cut(x.clone(), y.clone())));
-                    self.schedule(until, Ev::Fault(FaultEv::Uncut(x, y)));
+                    w.schedule(t, Ev::Cut(x.clone(), y.clone()));
+                    w.schedule(until, Ev::Uncut(x, y));
                 }
             }
         }
-        let scripted = self.cfg.scripted.clone();
-        for (t, s) in scripted {
+        for (t, s) in self.cfg.scripted.clone() {
             let t = t.min(end.saturating_sub(1));
             match s {
-                Scripted::Crash(i) => self.schedule(t, Ev::Fault(FaultEv::Crash(i % n))),
-                Scripted::Restart(i) => self.schedule(t, Ev::Fault(FaultEv::Restart(i % n))),
-                Scripted::CutOneWay(a, b) => {
-                    let (a, b) = (
-                        self.node_addrs[a % n].clone(),
-                        self.node_addrs[b % n].clone(),
-                    );
-                    self.schedule(t, Ev::Fault(FaultEv::Cut(a, b)));
-                }
+                Scripted::Crash(i) => w.schedule(t, Ev::Crash(i % n)),
+                Scripted::Restart(i) => w.schedule(t, Ev::Restart(i % n)),
+                Scripted::CutOneWay(a, b) => w.schedule(t, Ev::Cut(addr(a), addr(b))),
                 Scripted::CutBoth(a, b) => {
-                    let (a, b) = (
-                        self.node_addrs[a % n].clone(),
-                        self.node_addrs[b % n].clone(),
-                    );
-                    self.schedule(t, Ev::Fault(FaultEv::Cut(a.clone(), b.clone())));
-                    self.schedule(t, Ev::Fault(FaultEv::Cut(b, a)));
+                    w.schedule(t, Ev::Cut(addr(a), addr(b)));
+                    w.schedule(t, Ev::Cut(addr(b), addr(a)));
                 }
             }
         }
-        self.schedule(end, Ev::Fault(FaultEv::HealAll));
+        w.schedule(end, Ev::HealAll);
     }
 
-    fn run_loop(&mut self) {
-        while let Some(Reverse(s)) = self.queue.pop() {
-            self.now = s.at;
-            self.events += 1;
-            let is_end = matches!(s.ev, Ev::End);
-            self.handle(s.ev);
-            self.check_invariants();
-            if is_end || self.violations.len() >= MAX_VIOLATIONS {
-                break;
-            }
-            if self.events >= MAX_EVENTS {
-                self.violate("harness: event budget exhausted (runaway schedule)".to_string());
-                break;
-            }
-        }
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::NodeTick { node, inc } => {
-                if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let outs =
-                        self.nodes[node].on_tick(self.now, self.cfg.grace_ms, self.cfg.tick_ms * 2);
-                    self.process_outs(node, outs);
-                    let at = self.now + self.tick_delay(node);
-                    self.schedule(at, Ev::NodeTick { node, inc });
-                }
-            }
-            Ev::NodeTimer { node, inc, timer } => {
-                if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let mut outs = Vec::new();
-                    match timer {
-                        NodeTimer::Exec { rid, reply_to } => {
-                            self.nodes[node].on_exec(
-                                &rid,
-                                &reply_to,
-                                self.now,
-                                self.cfg.exec_ms,
-                                &mut outs,
-                            );
-                        }
-                        NodeTimer::ArbDecide { round } => {
-                            self.nodes[node].on_arb_decide(
-                                round,
-                                self.now,
-                                self.cfg.exec_ms,
-                                self.cfg.bug,
-                                &mut outs,
-                            );
-                        }
-                    }
-                    self.process_outs(node, outs);
-                }
-            }
-            Ev::Deliver {
-                from,
-                to,
-                to_inc,
-                line,
-            } => {
-                if let Some(ni) = self.node_index(&to) {
-                    // The partition also swallows frames already in
-                    // flight when it lands.
-                    if self.cuts.contains(&(from.clone(), to.clone())) {
-                        return;
-                    }
-                    if !self.nodes[ni].up || self.nodes[ni].incarnation != to_inc {
-                        return; // the connection died with the process
-                    }
-                    let outs = self.nodes[ni].on_line(
-                        &from,
-                        &line,
-                        self.now,
-                        self.cfg.exec_ms,
-                        self.cfg.bug,
-                    );
-                    self.process_outs(ni, outs);
-                } else if let Some(ci) = self.client_index(&to) {
-                    self.client_on_line(ci, &line);
-                }
-            }
-            Ev::ClientTimeout { client, token } => {
-                if self.clients[client].waiting && self.clients[client].token == token {
-                    // No answer within the budget: walk to the next
-                    // endpoint and retry the same idempotency key.
-                    self.clients[client].cursor += 1;
-                    self.client_send(client);
-                }
-            }
-            Ev::ClientRetry { client, token } => {
-                if self.clients[client].waiting && self.clients[client].token == token {
-                    self.client_send(client);
-                }
-            }
-            Ev::Fault(f) => self.handle_fault(f),
-            Ev::End => {
-                self.final_primaries = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.up && n.role == Role::Primary && !n.epoch_state.fenced)
-                    .count();
-                if self.final_primaries != 1 {
-                    self.violate(format!(
-                        "invariant 5: {} unfenced primaries at end of run (want exactly 1)",
-                        self.final_primaries
-                    ));
-                }
-                let pending: Vec<String> = self
-                    .clients
-                    .iter()
-                    .flat_map(|c| c.work.iter())
-                    .filter(|rid| !self.settled.contains_key(*rid))
-                    .cloned()
-                    .collect();
-                for rid in pending {
-                    self.violate(format!(
-                        "invariant 5: request `{rid}` never settled within {} virtual ms",
-                        self.cfg.sim_ms
-                    ));
-                }
-            }
-        }
-    }
-
-    fn handle_fault(&mut self, f: FaultEv) {
-        match f {
-            FaultEv::Crash(i) => {
-                if self.nodes[i].up {
-                    self.nodes[i].crash();
-                    let t = format!("t={}ms fault: crash {}", self.now, self.nodes[i].addr);
-                    self.trace.push(t);
-                }
-            }
-            FaultEv::Restart(i) => self.restart_node(i),
-            FaultEv::Cut(a, b) => {
-                if self.cuts.insert((a.clone(), b.clone())) {
-                    self.trace
-                        .push(format!("t={}ms fault: cut {a}->{b}", self.now));
-                }
-            }
-            FaultEv::Uncut(a, b) => {
-                if self.cuts.remove(&(a.clone(), b.clone())) {
-                    self.trace
-                        .push(format!("t={}ms fault: heal {a}->{b}", self.now));
-                }
-            }
-            FaultEv::HealAll => {
-                self.cuts.clear();
-                self.drop_permille = 0;
-                self.dup_permille = 0;
-                self.trace.push(format!(
-                    "t={}ms fault: heal-all (partitions cleared, loss/dup off)",
-                    self.now
-                ));
-                for i in 0..self.nodes.len() {
-                    if !self.nodes[i].up {
-                        self.restart_node(i);
-                    }
-                }
-                // Convergence probes: every client must complete one
-                // more keyed request before the run ends (invariant 5).
-                for ci in 0..self.clients.len() {
-                    let probe = format!("probe-{}", self.clients[ci].name);
-                    self.clients[ci].work.push(probe);
-                    if !self.clients[ci].waiting {
-                        self.client_send(ci);
-                    }
-                }
-            }
-        }
-    }
-
-    fn restart_node(&mut self, i: usize) {
-        if self.nodes[i].up {
-            return;
-        }
-        let mut outs = Vec::new();
-        self.nodes[i].restart(self.now, self.cfg.exec_ms, &mut outs);
-        self.process_outs(i, outs);
-        let inc = self.nodes[i].incarnation;
-        let at = self.now + self.tick_delay(i);
-        self.schedule(at, Ev::NodeTick { node: i, inc });
-    }
-
-    fn process_outs(&mut self, ni: usize, outs: Vec<Out>) {
-        let from = self.nodes[ni].addr.clone();
-        for out in outs {
-            match out {
-                Out::Send { to, line } => self.route(&from, &to, &line),
-                Out::Timer { delay_ms, timer } => {
-                    let d = (delay_ms * self.nodes[ni].skew_num / 10).max(1);
-                    let inc = self.nodes[ni].incarnation;
-                    self.schedule(
-                        self.now + d,
-                        Ev::NodeTimer {
-                            node: ni,
-                            inc,
-                            timer,
-                        },
-                    );
-                }
-                Out::Trace(t) => self.trace.push(t),
-                Out::Violation(v) => self.violate(format!("invariant 3: {v}")),
-            }
-        }
-    }
-
-    /// Puts one line on the wire: applies partitions, loss, duplication
-    /// and jitter, captures the receiving incarnation — and intercepts
-    /// follower acks to machine-check invariant 2 at the source.
-    fn route(&mut self, from: &str, to: &str, line: &str) {
-        if self.node_index(from).is_some() && self.node_index(to).is_some() {
-            if let Some(ReplMsg::Ack { seq }) = ReplMsg::parse(line) {
-                self.check_acked_prefix(from, to, seq);
-            }
-            if self.cuts.contains(&(from.to_string(), to.to_string())) {
-                return;
-            }
-        }
-        if self.chance(self.drop_permille) {
-            return;
-        }
-        let delay = self.cfg.net_ms + self.rng.next_u64() % self.cfg.jitter_ms.max(1);
-        let to_inc = self
-            .node_index(to)
-            .map_or(CLIENT_INC, |i| self.nodes[i].incarnation);
-        let dup = self.chance(self.dup_permille);
-        self.schedule(
-            self.now + delay,
-            Ev::Deliver {
-                from: from.to_string(),
-                to: to.to_string(),
-                to_inc,
-                line: line.to_string(),
-            },
-        );
-        if dup {
-            self.schedule(
-                self.now + delay + self.cfg.net_ms.max(1),
-                Ev::Deliver {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                    to_inc,
-                    line: line.to_string(),
-                },
-            );
-        }
-    }
-
-    /// Invariant 2: when a follower acks `seq` records to a primary,
-    /// both journals must hold byte-identical records up to `seq`.
-    fn check_acked_prefix(&mut self, follower: &str, primary: &str, seq: u64) {
-        let (Some(fi), Some(pi)) = (self.node_index(follower), self.node_index(primary)) else {
-            return;
-        };
-        let seq = usize::try_from(seq).unwrap_or(usize::MAX);
-        let ok = match (
-            self.nodes[fi].journal.get(..seq),
-            self.nodes[pi].journal.get(..seq),
-        ) {
-            (Some(f), Some(p)) => f == p,
-            _ => false,
-        };
-        if !ok {
-            self.violate(format!(
-                "invariant 2: {follower} acked seq {seq} but its journal prefix is not \
-                 byte-identical to {primary}'s"
-            ));
-        }
-    }
-
-    fn client_send(&mut self, ci: usize) {
+    fn client_send(&mut self, w: &mut World<Ev>, ci: usize) {
         let c = &mut self.clients[ci];
-        if c.idx >= c.work.len() {
+        let Some(rid) = c.work.get(c.idx) else {
             c.waiting = false;
             return;
-        }
-        let rid = c.work[c.idx].clone();
+        };
         c.token += 1;
         c.waiting = true;
-        let token = c.token;
-        let endpoint = self.node_addrs[c.cursor % self.node_addrs.len()].clone();
-        let from = c.name.clone();
-        let line = WireRequest::new(rid.clone(), WireOp::Ping)
-            .with_request_id(rid)
-            .render_line()
-            .trim_end()
-            .to_string();
-        self.route(&from, &endpoint, &line);
-        self.schedule(
-            self.now + self.cfg.client_timeout_ms,
-            Ev::ClientTimeout { client: ci, token },
-        );
+        let (token, line) = (c.token, keyed_request(rid));
+        let endpoint = &self.addrs[c.cursor % self.addrs.len()];
+        w.route(&c.name, endpoint, &line);
+        let at = w.now + self.cfg.client_timeout_ms;
+        w.schedule(at, Ev::ClientTimeout { client: ci, token });
     }
 
-    fn client_on_line(&mut self, ci: usize, line: &str) {
+    fn client_on_line(&mut self, w: &mut World<Ev>, ci: usize, line: &str) {
         let Ok(resp) = WireResponse::parse(line) else {
             return;
         };
         let c = &self.clients[ci];
-        if !c.waiting || c.idx >= c.work.len() {
-            return;
-        }
-        let rid = c.work[c.idx].clone();
-        if resp.id != rid {
+        if !c.waiting || c.work.get(c.idx) != Some(&resp.id) {
             return; // a straggler for an earlier key
         }
-        let terminal = match &resp.outcome {
-            Ok(_) => true,
-            // The simulated optimizer fails deterministically for some
-            // keys; those settle as journaled `Fail` records and serve
-            // retries like successes do.
-            Err(f) => f.class == ErrorClass::Numerical,
-        };
-        if terminal {
-            let got = line.trim_end().to_string();
-            match self.settled.get(&rid) {
-                Some(prev) if *prev != got => {
-                    let prev = prev.clone();
-                    self.violate(format!(
-                        "invariant 3: `{rid}` answered differently across retries \
-                         (first `{prev}`, then `{got}`)"
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    self.settled.insert(rid.clone(), got);
-                }
-            }
+        if terminal(&resp) {
+            w.answered(&resp.id, line);
             self.answered += 1;
             let c = &mut self.clients[ci];
             if !c.dup_done && c.idx.is_multiple_of(2) {
@@ -641,114 +229,98 @@ impl<'a> Harness<'a> {
                 c.dup_done = false;
                 c.idx += 1;
             }
-            self.client_send(ci);
-            return;
+            return self.client_send(w, ci);
         }
-        let code = match &resp.outcome {
-            Err(f) => f.code.clone(),
-            Ok(_) => String::new(),
-        };
-        match code.as_str() {
-            // Refusals that name the wrong server: walk on immediately.
-            "RES-NOT-PRIMARY" | "RES-STALE-EPOCH" => {
-                self.clients[ci].cursor += 1;
-                self.client_send(ci);
-            }
+        match resp.outcome.err().map(|f| f.code).as_deref() {
             // Our own earlier attempt is still executing there: give it
             // time to settle, then retry the same key (dedup answers).
-            "RES-DUPLICATE-REQUEST" => {
+            Some("RES-DUPLICATE-REQUEST") => {
                 let token = self.clients[ci].token;
-                self.schedule(
-                    self.now + self.cfg.exec_ms * 2,
-                    Ev::ClientRetry { client: ci, token },
-                );
+                let at = w.now + self.cfg.exec_ms * 2;
+                w.schedule(at, Ev::ClientRetry { client: ci, token });
             }
+            // Refusals that name the wrong server, and anything else:
+            // walk on immediately.
             _ => {
                 self.clients[ci].cursor += 1;
-                self.client_send(ci);
+                self.client_send(w, ci);
             }
         }
     }
+}
 
-    /// Invariants 1 and 4, re-checked after every event.
-    fn check_invariants(&mut self) {
-        let mut primary_epochs: Vec<u64> = Vec::new();
-        let mut dup_epoch = None;
-        let mut frozen_grew = Vec::new();
-        for node in &self.nodes {
-            if node.up && node.role == Role::Primary && !node.epoch_state.fenced {
-                if primary_epochs.contains(&node.epoch()) {
-                    dup_epoch = Some(node.epoch());
+impl Actors for Harness<'_> {
+    type Ev = Ev;
+
+    fn on_event(&mut self, w: &mut World<Ev>, ev: Ev) -> bool {
+        match ev {
+            Ev::ClientTimeout { client, token } => {
+                if self.clients[client].waiting && self.clients[client].token == token {
+                    // No answer within the budget: walk to the next
+                    // endpoint and retry the same idempotency key.
+                    self.clients[client].cursor += 1;
+                    self.client_send(w, client);
                 }
-                primary_epochs.push(node.epoch());
             }
-            if let Some(frozen) = node.frozen_len {
-                if node.journal.len() != frozen {
-                    frozen_grew.push(format!(
-                        "invariant 4: fenced/diverged {} journal changed \
-                         ({} records frozen, now {})",
-                        node.addr,
-                        frozen,
-                        node.journal.len()
+            Ev::ClientRetry { client, token } => {
+                if self.clients[client].waiting && self.clients[client].token == token {
+                    self.client_send(w, client);
+                }
+            }
+            Ev::Crash(i) => w.crash(i),
+            Ev::Restart(i) => w.start(i, true),
+            Ev::Cut(a, b) => {
+                let line = format!("t={}ms fault: cut {a}->{b}", w.now);
+                if w.cuts.insert((a, b)) {
+                    w.trace.push(line);
+                }
+            }
+            Ev::Uncut(a, b) => {
+                let line = format!("t={}ms fault: heal {a}->{b}", w.now);
+                if w.cuts.remove(&(a, b)) {
+                    w.trace.push(line);
+                }
+            }
+            Ev::HealAll => {
+                w.cuts.clear();
+                w.net.drop_permille = 0;
+                w.net.dup_permille = 0;
+                let line = format!(
+                    "t={}ms fault: heal-all (partitions cleared, loss/dup off)",
+                    w.now
+                );
+                w.trace.push(line);
+                for i in 0..w.nodes.len() {
+                    w.start(i, true);
+                }
+                // Convergence probes: every client must complete one
+                // more keyed request before the run ends (invariant 5).
+                for ci in 0..self.clients.len() {
+                    let probe = format!("probe-{}", self.clients[ci].name);
+                    self.clients[ci].work.push(probe);
+                    if !self.clients[ci].waiting {
+                        self.client_send(w, ci);
+                    }
+                }
+            }
+            Ev::End => {
+                self.final_primaries = w.nodes.iter().filter_map(|n| n.serving()).count();
+                if self.final_primaries != 1 {
+                    w.violate(format!(
+                        "invariant 5: {} unfenced primaries at end of run (want exactly 1)",
+                        self.final_primaries
                     ));
                 }
+                w.demand_settled("invariant 5", self.clients.iter().flat_map(|c| &c.work));
+                return true;
             }
         }
-        if let Some(epoch) = dup_epoch {
-            self.violate(format!(
-                "invariant 1: two unfenced primaries share epoch {epoch}"
-            ));
-        }
-        for v in frozen_grew {
-            self.violate(v);
-        }
+        false
     }
 
-    /// Records a violation once (invariant checks re-fire every event).
-    fn violate(&mut self, v: String) {
-        if self.seen_violations.insert(v.clone()) {
-            self.trace.push(format!("t={}ms VIOLATION {v}", self.now));
-            self.violations.push(v);
-        }
-    }
-
-    fn chance(&mut self, permille: u64) -> bool {
-        permille > 0 && self.rng.next_u64() % 1000 < permille
-    }
-
-    fn tick_delay(&self, node: usize) -> u64 {
-        (self.cfg.tick_ms * self.nodes[node].skew_num / 10).max(1)
-    }
-
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            at: at.max(self.now),
-            seq: self.seq,
-            ev,
-        }));
-    }
-
-    fn node_index(&self, addr: &str) -> Option<usize> {
-        self.node_addrs.iter().position(|a| a == addr)
-    }
-
-    fn client_index(&self, name: &str) -> Option<usize> {
-        self.clients.iter().position(|c| c.name == name)
-    }
-
-    fn report(self) -> SimReport {
-        SimReport {
-            seed: self.seed,
-            events: self.events,
-            answered: self.answered,
-            settled: self.settled.len() as u64,
-            deduped: self.nodes.iter().map(|n| n.deduped).sum(),
-            promotions: self.nodes.iter().map(|n| n.promotions).sum(),
-            fences: self.nodes.iter().map(|n| n.fences).sum(),
-            final_primaries: self.final_primaries,
-            violations: self.violations,
-            trace: self.trace,
+    fn on_line(&mut self, w: &mut World<Ev>, _from: &str, to: &str, line: &str) {
+        if let Some(ci) = self.clients.iter().position(|c| c.name == to) {
+            self.client_on_line(w, ci, line);
         }
     }
 }

@@ -22,13 +22,12 @@
 //!   [`lintra_serve::Transport`]). These run the *real*
 //!   [`lintra_serve::Client`] against scripted endpoints with zero real
 //!   sleeping.
-//! - [`run_sim`]: the discrete-event cluster simulation. Nodes are a
-//!   faithful single-threaded model of the serve replication state
-//!   machine — real wire codecs, real journal records and CRCs, real
-//!   [`promotion_epoch`](lintra_serve::promotion_epoch) arithmetic,
-//!   real restart semantics — driven through seeded fault swarms while
-//!   the harness machine-checks five invariants after every event (one
-//!   unfenced primary per epoch; acked prefixes byte-identical; settled
+//! - [`run_sim`]: the discrete-event cluster simulation. Every node is
+//!   the replication core the server ships
+//!   ([`lintra_serve::protocol::Core`]) over an in-memory journal and
+//!   epoch file, driven through seeded fault swarms while the harness
+//!   machine-checks five invariants after every event (one unfenced
+//!   primary per epoch; acked prefixes byte-identical; settled
 //!   `request_id`s answered byte-identically with zero recompute;
 //!   fenced/diverged journals frozen; bounded re-convergence after
 //!   faults stop).
@@ -37,8 +36,8 @@
 //! epochs) to prove the invariant checks have teeth; the checked-in
 //! regression seed in `tests/sim.rs` catches it every time.
 //!
-//! A third layer, [`run_shard_sim`], extends the model to a *sharded*
-//! cluster: M replicated shard groups behind a deterministic model of
+//! A third layer, [`run_shard_sim`], runs on the same event loop: M
+//! groups of replication cores behind a deterministic model of
 //! the `lintra route` front end, built on the real
 //! [`ShardRing`](lintra_serve::ShardRing) /
 //! [`RetryBudget`](lintra_serve::RetryBudget) arithmetic, with its own
@@ -48,9 +47,9 @@
 
 pub mod vclock;
 
-mod cluster;
 mod harness;
 mod shard;
+mod world;
 
 pub use shard::{run_shard_sim, RouterSimBug, ShardScenario, ShardSimConfig, ShardSimReport};
 pub use vclock::{Reply, ScriptedNet, SimClock};
@@ -60,10 +59,11 @@ pub use vclock::{Reply, ScriptedNet, SimClock};
 /// harness detects the class of failure it claims to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBug {
-    /// No injected bug: the faithful protocol model.
+    /// No injected bug: the shipping protocol core, configured as is.
     #[default]
     None,
-    /// Promote to `observed + 1` instead of the collision-free
+    /// Start every node with an empty peer list, so the real core
+    /// promotes to `observed + 1` instead of the collision-free
     /// stride/slot epoch: two partitioned followers can then promote
     /// into the *same* epoch — the split-brain invariant 1 exists to
     /// catch.
@@ -98,7 +98,8 @@ pub struct SimConfig {
     /// Total virtual run length. Faults stop at 3/5 of it; the cluster
     /// must re-converge and settle everything in the remainder.
     pub sim_ms: u64,
-    /// Node housekeeping cadence (heartbeats, guard probes, resync).
+    /// Each node's heartbeat interval (the core's `heartbeat`; it also
+    /// paces guard probes). Arbitration waits twice this for peers.
     pub tick_ms: u64,
     /// Silence a follower tolerates before arbitrating a failover.
     pub grace_ms: u64,
@@ -190,20 +191,11 @@ impl SimReport {
     /// The failure artifact: seed plus the compact fault-schedule
     /// trace, ready to paste into a bug report.
     pub fn repro(&self) -> String {
-        let mut out = format!(
-            "sim seed {} ({} events, {} promotions, {} fences)\n",
+        let header = format!(
+            "sim seed {} ({} events, {} promotions, {} fences)",
             self.seed, self.events, self.promotions, self.fences
         );
-        for line in &self.trace {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for v in &self.violations {
-            out.push_str("VIOLATION ");
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        world::repro(header, &self.trace, &self.violations)
     }
 }
 

@@ -4,8 +4,8 @@
 //! The router model is *not* a reimplementation of the routing math —
 //! it runs the real [`ShardRing`], the real [`RetryBudget`] arithmetic,
 //! and the real [`routing_key`] precedence, while the shard groups are
-//! the same [`SimNode`] replication model the cluster simulation
-//! drives. What this harness adds is the failure surface the threaded
+//! the shipping replication cores on the event loop the cluster
+//! simulation shares ([`crate::world`]). What this harness adds is the failure surface the threaded
 //! router cannot schedule deterministically: a shard blackout racing a
 //! hedge, a retry landing during a failover, the budget draining while
 //! a breaker is half-open.
@@ -30,29 +30,15 @@
 //!
 //! A run is a pure function of `(seed, ShardSimConfig)`.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use lintra::matrix::rng::SplitMix64;
 use lintra::ErrorClass;
-use lintra_bench::wire::{WireFailure, WireOp, WireRequest, WireResponse};
-use lintra_serve::replicate::{ReplMsg, Role};
+use lintra_bench::wire::{WireRequest, WireResponse};
+use lintra_serve::replicate::{status_query, ReplMsg};
 use lintra_serve::router::{routing_key, RetryBudget, ShardRing};
 
-use crate::cluster::{NodeTimer, Out, SimNode};
-use crate::SimBug;
-
-/// Sentinel incarnation for deliveries to the router or a client
-/// (neither crashes, so the staleness check never fires for them).
-const CLIENT_INC: u64 = u64::MAX;
-
-/// Hard ceiling on processed events: a scheduling bug must fail the
-/// run, not hang the test suite.
-const MAX_EVENTS: u64 = 2_000_000;
-
-/// Stop collecting after this many violations; one broken invariant
-/// tends to echo.
-const MAX_VIOLATIONS: usize = 32;
+use crate::world::{failure, keyed_request, terminal, Actors, Labels, Net, World};
 
 /// Consecutive attempt failures before a shard's breaker opens.
 const BREAKER_THRESHOLD: u64 = 3;
@@ -109,7 +95,7 @@ pub struct ShardSimConfig {
     pub requests_per_client: usize,
     /// Total virtual run length.
     pub sim_ms: u64,
-    /// Node housekeeping cadence.
+    /// Each node's heartbeat interval; arbitration waits twice this.
     pub tick_ms: u64,
     /// Follower silence tolerance before arbitration.
     pub grace_ms: u64,
@@ -218,48 +204,57 @@ impl ShardSimReport {
 
     /// The failure artifact: seed plus the compact schedule trace.
     pub fn repro(&self) -> String {
-        let mut out = format!(
-            "shard sim seed {} ({} events, {} retries, {} hedges, {} shed, {} shard-down)\n",
+        let header = format!(
+            "shard sim seed {} ({} events, {} retries, {} hedges, {} shed, {} shard-down)",
             self.seed, self.events, self.retries, self.hedges, self.shed, self.shard_down
         );
-        for line in &self.trace {
-            out.push_str(line);
-            out.push('\n');
-        }
-        for v in &self.violations {
-            out.push_str("VIOLATION ");
-            out.push_str(v);
-            out.push('\n');
-        }
-        out
+        crate::world::repro(header, &self.trace, &self.violations)
     }
 }
 
 /// Runs one sharded simulation to completion under virtual time.
 pub fn run_shard_sim(seed: u64, config: &ShardSimConfig) -> ShardSimReport {
-    let mut h = ShardHarness::new(seed, config);
-    h.setup();
-    h.run_loop();
-    h.report()
+    let (groups, npg) = (config.groups.max(1), config.nodes_per_group.max(1));
+    let mut h = ShardHarness::new(config, groups, npg);
+    let net = Net {
+        net_ms: config.net_ms,
+        jitter_ms: config.jitter_ms,
+        exec_ms: config.exec_ms,
+        drop_permille: config.drop_permille,
+        dup_permille: 0,
+        heartbeat_ms: config.tick_ms,
+        grace_ms: config.grace_ms,
+    };
+    let labels = Labels {
+        split: "invariant R4",
+        recompute: "invariant R3",
+        frozen: "invariant R4",
+        answer: "invariant R4",
+    };
+    let clusters: Vec<Vec<String>> = h.node_addrs.chunks(npg).map(<[_]>::to_vec).collect();
+    let rng = SplitMix64::new(seed ^ 0x5AA2_D0E5_EED1);
+    let mut w = World::new(rng, &clusters, net, labels, false);
+    h.setup(&mut w);
+    w.run(&mut h);
+    ShardSimReport {
+        seed,
+        events: w.events,
+        answered: h.answered,
+        settled: w.settled.len() as u64,
+        requests: h.stats.requests,
+        forwarded: h.stats.forwarded,
+        retries: h.stats.retries,
+        hedges: h.stats.hedges,
+        shed: h.stats.shed,
+        shard_down: h.stats.shard_down,
+        promotions: w.nodes.iter().map(|n| n.promotions).sum(),
+        fences: w.nodes.iter().map(|n| n.fences).sum(),
+        violations: w.violations,
+        trace: w.trace,
+    }
 }
 
-#[derive(Debug)]
 enum Ev {
-    NodeTick {
-        node: usize,
-        inc: u64,
-    },
-    NodeTimer {
-        node: usize,
-        inc: u64,
-        timer: NodeTimer,
-    },
-    Deliver {
-        from: String,
-        to: String,
-        to_inc: u64,
-        line: String,
-    },
     /// Client resend of its current key (timeout or shed backoff).
     ClientRetry {
         client: usize,
@@ -282,37 +277,9 @@ enum Ev {
     },
     /// The router's periodic health probe of every shard endpoint.
     RouterProbe,
-    Fault(FaultEv),
-    End,
-}
-
-#[derive(Debug, Clone)]
-enum FaultEv {
     Crash(usize),
     HealAll,
-}
-
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+    End,
 }
 
 /// One simulated client: works through its keys in order, but rotates
@@ -352,6 +319,7 @@ struct GroupHealth {
     open_until: u64,
 }
 
+#[derive(Default)]
 struct Stats {
     requests: u64,
     forwarded: u64,
@@ -363,17 +331,10 @@ struct Stats {
 
 struct ShardHarness<'a> {
     cfg: &'a ShardSimConfig,
-    seed: u64,
     groups: usize,
     npg: usize,
-    nodes: Vec<SimNode>,
     node_addrs: Vec<String>,
     clients: Vec<ShardClient>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    seq: u64,
-    now: u64,
-    rng: SplitMix64,
-    drop_permille: u64,
     ring: ShardRing,
     budget: RetryBudget,
     budget_cap_milli: u64,
@@ -383,34 +344,16 @@ struct ShardHarness<'a> {
     next_id: u64,
     next_token: u64,
     stats: Stats,
-    /// First terminal response line per rid: the byte-identity oracle.
-    settled: HashMap<String, String>,
     answered: u64,
     /// Every key any client will ever work through (probes included).
     all_work: Vec<String>,
     /// Groups the scenario takes down wholesale (R1 exempts their keys
     /// from the settle-by-heal demand).
     affected: HashSet<usize>,
-    violations: Vec<String>,
-    seen_violations: HashSet<String>,
-    trace: Vec<String>,
-    events: u64,
 }
 
 impl<'a> ShardHarness<'a> {
-    fn new(seed: u64, cfg: &'a ShardSimConfig) -> ShardHarness<'a> {
-        let groups = cfg.groups.max(1);
-        let npg = cfg.nodes_per_group.max(1);
-        let mut nodes = Vec::with_capacity(groups * npg);
-        let mut node_addrs = Vec::with_capacity(groups * npg);
-        for g in 0..groups {
-            let cluster: Vec<String> = (0..npg).map(|i| format!("s{g}n{i}")).collect();
-            for i in 0..npg {
-                let replica_of = (i != 0).then(|| cluster[0].clone());
-                nodes.push(SimNode::new(i, cluster.clone(), replica_of));
-            }
-            node_addrs.extend(cluster);
-        }
+    fn new(cfg: &'a ShardSimConfig, groups: usize, npg: usize) -> ShardHarness<'a> {
         let clients: Vec<ShardClient> = (0..cfg.clients)
             .map(|i| ShardClient {
                 name: format!("c{i}"),
@@ -428,17 +371,12 @@ impl<'a> ShardHarness<'a> {
         };
         ShardHarness {
             cfg,
-            seed,
             groups,
             npg,
-            nodes,
-            node_addrs,
+            node_addrs: (0..groups * npg)
+                .map(|n| format!("s{}n{}", n / npg, n % npg))
+                .collect(),
             clients,
-            queue: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-            rng: SplitMix64::new(seed ^ 0x5AA2_D0E5_EED1),
-            drop_permille: cfg.drop_permille,
             ring: ShardRing::new(groups, cfg.vnodes),
             budget: RetryBudget::new(cfg.retry_ratio_milli, cfg.retry_cap),
             budget_cap_milli: (cfg.retry_cap.saturating_mul(1000)).max(1000),
@@ -447,172 +385,35 @@ impl<'a> ShardHarness<'a> {
             pending: Vec::new(),
             next_id: 0,
             next_token: 0,
-            stats: Stats {
-                requests: 0,
-                forwarded: 0,
-                retries: 0,
-                hedges: 0,
-                shed: 0,
-                shard_down: 0,
-            },
-            settled: HashMap::new(),
+            stats: Stats::default(),
             answered: 0,
             all_work,
             affected,
-            violations: Vec::new(),
-            seen_violations: HashSet::new(),
-            trace: Vec::new(),
-            events: 0,
         }
     }
 
-    fn setup(&mut self) {
-        for i in 0..self.nodes.len() {
-            let inc = self.nodes[i].incarnation;
-            self.schedule(self.cfg.tick_ms + i as u64, Ev::NodeTick { node: i, inc });
+    fn setup(&mut self, w: &mut World<Ev>) {
+        for i in 0..w.nodes.len() {
+            w.start(i, false);
         }
         for ci in 0..self.clients.len() {
-            self.client_send(ci);
+            self.client_send(w, ci);
         }
-        self.schedule(self.cfg.probe_ms / 2, Ev::RouterProbe);
+        w.schedule(self.cfg.probe_ms / 2, Ev::RouterProbe);
         let start = self.cfg.sim_ms / 8;
-        let heal = self.cfg.sim_ms * 3 / 5;
         match self.cfg.scenario {
             ShardScenario::None => {}
             ShardScenario::PrimaryCrash { group } => {
-                let g = group % self.groups;
-                self.schedule(start, Ev::Fault(FaultEv::Crash(g * self.npg)));
+                w.schedule(start, Ev::Crash(group % self.groups * self.npg));
             }
             ShardScenario::Blackout { group } => {
-                let g = group % self.groups;
                 for i in 0..self.npg {
-                    self.schedule(start, Ev::Fault(FaultEv::Crash(g * self.npg + i)));
+                    w.schedule(start, Ev::Crash(group % self.groups * self.npg + i));
                 }
             }
         }
-        self.schedule(heal, Ev::Fault(FaultEv::HealAll));
-        self.schedule(self.cfg.sim_ms, Ev::End);
-    }
-
-    fn run_loop(&mut self) {
-        while let Some(Reverse(s)) = self.queue.pop() {
-            self.now = s.at;
-            self.events += 1;
-            let is_end = matches!(s.ev, Ev::End);
-            self.handle(s.ev);
-            self.check_invariants();
-            if is_end || self.violations.len() >= MAX_VIOLATIONS {
-                break;
-            }
-            if self.events >= MAX_EVENTS {
-                self.violate("harness: event budget exhausted (runaway schedule)".to_string());
-                break;
-            }
-        }
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::NodeTick { node, inc } => {
-                if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let outs =
-                        self.nodes[node].on_tick(self.now, self.cfg.grace_ms, self.cfg.tick_ms * 2);
-                    self.process_outs(node, outs);
-                    self.schedule(self.now + self.cfg.tick_ms, Ev::NodeTick { node, inc });
-                }
-            }
-            Ev::NodeTimer { node, inc, timer } => {
-                if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let mut outs = Vec::new();
-                    match timer {
-                        NodeTimer::Exec { rid, reply_to } => {
-                            self.nodes[node].on_exec(
-                                &rid,
-                                &reply_to,
-                                self.now,
-                                self.cfg.exec_ms,
-                                &mut outs,
-                            );
-                        }
-                        NodeTimer::ArbDecide { round } => {
-                            self.nodes[node].on_arb_decide(
-                                round,
-                                self.now,
-                                self.cfg.exec_ms,
-                                SimBug::None,
-                                &mut outs,
-                            );
-                        }
-                    }
-                    self.process_outs(node, outs);
-                }
-            }
-            Ev::Deliver {
-                from,
-                to,
-                to_inc,
-                line,
-            } => {
-                if to == "router" {
-                    if self.node_index(&from).is_some() {
-                        if let Some(ReplMsg::StatusReply { role, .. }) = ReplMsg::parse(&line) {
-                            self.router_on_probe_reply(&from, &role);
-                        } else {
-                            self.router_on_response(&line);
-                        }
-                    } else if let Some(ci) = self.client_index(&from) {
-                        self.router_on_request(ci, &line);
-                    }
-                } else if let Some(ni) = self.node_index(&to) {
-                    if !self.nodes[ni].up || self.nodes[ni].incarnation != to_inc {
-                        return; // the connection died with the process
-                    }
-                    let outs = self.nodes[ni].on_line(
-                        &from,
-                        &line,
-                        self.now,
-                        self.cfg.exec_ms,
-                        SimBug::None,
-                    );
-                    self.process_outs(ni, outs);
-                } else if let Some(ci) = self.client_index(&to) {
-                    self.client_on_line(ci, &line);
-                }
-            }
-            Ev::ClientRetry { client, token } => {
-                if self.clients[client].waiting && self.clients[client].token == token {
-                    self.client_send(client);
-                }
-            }
-            Ev::RouterTimeout { id, token } => {
-                if let Some(idx) = self
-                    .pending
-                    .iter()
-                    .position(|p| p.id == id && p.token == token)
-                {
-                    self.attempt_failed(idx);
-                }
-            }
-            Ev::RouterHedge { id } => self.maybe_hedge(id),
-            Ev::RouterAskAgain { id, token } => {
-                if let Some(idx) = self
-                    .pending
-                    .iter()
-                    .position(|p| p.id == id && p.token == token)
-                {
-                    self.forward(idx);
-                }
-            }
-            Ev::RouterProbe => {
-                let probe = ReplMsg::Status.render_line().trim_end().to_string();
-                for addr in self.node_addrs.clone() {
-                    self.route("router", &addr, &probe);
-                }
-                self.schedule(self.now + self.cfg.probe_ms, Ev::RouterProbe);
-            }
-            Ev::Fault(f) => self.handle_fault(f),
-            Ev::End => self.check_end(),
-        }
+        w.schedule(self.cfg.sim_ms * 3 / 5, Ev::HealAll);
+        w.schedule(self.cfg.sim_ms, Ev::End);
     }
 
     // ---- the router model -------------------------------------------
@@ -620,10 +421,7 @@ impl<'a> ShardHarness<'a> {
     /// A probe answered: a serving primary re-aims the shard cursor and
     /// counts as a breaker success, exactly like the real prober — so a
     /// failover converges without sacrificing a live request.
-    fn router_on_probe_reply(&mut self, from: &str, role: &str) {
-        let Some(ni) = self.node_index(from) else {
-            return;
-        };
+    fn router_on_probe_reply(&mut self, ni: usize, role: &str) {
         if role == "primary" {
             let (g, i) = (ni / self.npg, ni % self.npg);
             self.cursors[g] = i;
@@ -631,7 +429,7 @@ impl<'a> ShardHarness<'a> {
         }
     }
 
-    fn router_on_request(&mut self, ci: usize, line: &str) {
+    fn router_on_request(&mut self, w: &mut World<Ev>, ci: usize, line: &str) {
         let client = self.clients[ci].name.clone();
         let req = match WireRequest::parse(line) {
             Ok(req) => req,
@@ -640,8 +438,7 @@ impl<'a> ShardHarness<'a> {
                     "",
                     failure(ErrorClass::Validation, "VAL-MALFORMED-REQUEST", e),
                 );
-                self.reply_to_client(&client, &resp.render_line());
-                return;
+                return w.route("router", &client, &resp.render_line());
             }
         };
         self.stats.requests += 1;
@@ -652,8 +449,7 @@ impl<'a> ShardHarness<'a> {
                 req.id,
                 failure(ErrorClass::Validation, "VAL-CONFIG", "empty shard ring"),
             );
-            self.reply_to_client(&client, &resp.render_line());
-            return;
+            return w.route("router", &client, &resp.render_line());
         };
         // A resend of a key the router is already working on attaches
         // to the existing slot instead of double-forwarding (the real
@@ -668,10 +464,10 @@ impl<'a> ShardHarness<'a> {
         let h = self.health[group];
         if self.cfg.bug != RouterSimBug::UnboundedRetries
             && h.consec_fail >= BREAKER_THRESHOLD
-            && self.now < h.open_until
+            && w.now < h.open_until
         {
             self.stats.shard_down += 1;
-            let retry_in = h.open_until - self.now;
+            let retry_in = h.open_until - w.now;
             let resp = WireResponse::err(
                 req.id,
                 failure(
@@ -683,14 +479,13 @@ impl<'a> ShardHarness<'a> {
                     ),
                 ),
             );
-            self.reply_to_client(&client, &resp.render_line());
-            return;
+            return w.route("router", &client, &resp.render_line());
         }
         self.next_id += 1;
         self.pending.push(Pending {
             id: self.next_id,
             rid: req.id.clone(),
-            line: line.trim_end().to_string(),
+            line: line.to_string(),
             client,
             group,
             walk: 0,
@@ -699,92 +494,83 @@ impl<'a> ShardHarness<'a> {
             hedged: false,
             token: 0,
         });
-        let idx = self.pending.len() - 1;
-        self.forward(idx);
+        self.forward(w, self.pending.len() - 1);
         if self.npg > 1 && req.request_id.is_some() {
             // Hedging is keyed-requests-only, like the real router.
             let id = self.next_id;
-            self.schedule(self.now + self.cfg.hedge_ms, Ev::RouterHedge { id });
+            w.schedule(w.now + self.cfg.hedge_ms, Ev::RouterHedge { id });
         }
+    }
+
+    /// The address `offset` endpoints past the group cursor.
+    fn endpoint(&self, group: usize, offset: usize) -> String {
+        self.node_addrs[group * self.npg + (self.cursors[group] + offset) % self.npg].clone()
     }
 
     /// Sends the current copy of slot `idx` to its next endpoint and
     /// arms the attempt timeout.
-    fn forward(&mut self, idx: usize) {
+    fn forward(&mut self, w: &mut World<Ev>, idx: usize) {
         self.next_token += 1;
         let p = &mut self.pending[idx];
         p.token = self.next_token;
-        let endpoint = self.node_addrs
-            [p.group * self.npg + (self.cursors[p.group] + p.walk) % self.npg]
-            .clone();
-        let (id, token, line) = (p.id, p.token, p.line.clone());
-        self.route("router", &endpoint, &line);
-        self.schedule(
-            self.now + self.cfg.router_timeout_ms,
+        let (id, token, line, group, walk) = (p.id, p.token, p.line.clone(), p.group, p.walk);
+        let endpoint = self.endpoint(group, walk);
+        w.route("router", &endpoint, &line);
+        w.schedule(
+            w.now + self.cfg.router_timeout_ms,
             Ev::RouterTimeout { id, token },
         );
     }
 
-    fn router_on_response(&mut self, line: &str) {
+    fn router_on_response(&mut self, w: &mut World<Ev>, line: &str) {
         let Ok(resp) = WireResponse::parse(line) else {
             return;
         };
         let Some(idx) = self.pending.iter().position(|p| p.rid == resp.id) else {
             return; // a straggler for a settled slot (hedge loser)
         };
-        let terminal = match &resp.outcome {
-            Ok(_) => true,
-            Err(f) => f.class == ErrorClass::Numerical,
-        };
-        if terminal {
+        if terminal(&resp) {
             let p = self.pending.swap_remove(idx);
             self.health[p.group].consec_fail = 0;
             self.cursors[p.group] = (self.cursors[p.group] + p.walk) % self.npg;
             self.stats.forwarded += 1;
-            self.reply_to_client(&p.client, line);
-            return;
+            return w.route("router", &p.client, line);
         }
-        let code = match &resp.outcome {
-            Err(f) => f.code.clone(),
-            Ok(_) => String::new(),
-        };
-        match code.as_str() {
+        match resp.outcome.err().map(|f| f.code).as_deref() {
             // Redirects name the wrong server: walk the shard's
             // endpoint list without charging the budget, exactly like
             // the real `walk_shard`.
-            "RES-NOT-PRIMARY" | "RES-STALE-EPOCH" => {
+            Some("RES-NOT-PRIMARY" | "RES-STALE-EPOCH") => {
                 let p = &mut self.pending[idx];
                 p.walk += 1;
                 p.redirects += 1;
                 if p.redirects >= self.npg {
                     p.redirects = 0;
-                    self.attempt_failed(idx);
+                    self.attempt_failed(w, idx);
                 } else {
-                    self.forward(idx);
+                    self.forward(w, idx);
                 }
             }
             // Our other copy (or an earlier attempt) is executing
             // there: wait out the execution, then re-ask — the journal
             // serves the settled answer byte-identically.
-            "RES-DUPLICATE-REQUEST" => {
+            Some("RES-DUPLICATE-REQUEST") => {
                 let (id, token) = (self.pending[idx].id, self.pending[idx].token);
-                self.schedule(
-                    self.now + self.cfg.exec_ms * 2,
-                    Ev::RouterAskAgain { id, token },
-                );
+                let at = w.now + self.cfg.exec_ms * 2;
+                w.schedule(at, Ev::RouterAskAgain { id, token });
             }
-            _ => self.attempt_failed(idx),
+            _ => self.attempt_failed(w, idx),
         }
     }
 
     /// One forwarded attempt failed (timeout, exhausted redirect walk,
     /// or a non-terminal error): feed the breaker, then retry under the
     /// budget, shed, or give up on the shard.
-    fn attempt_failed(&mut self, idx: usize) {
+    fn attempt_failed(&mut self, w: &mut World<Ev>, idx: usize) {
         let group = self.pending[idx].group;
         self.health[group].consec_fail += 1;
         if self.health[group].consec_fail >= BREAKER_THRESHOLD {
-            self.health[group].open_until = self.now + self.cfg.breaker_cooldown_ms;
+            self.health[group].open_until = w.now + self.cfg.breaker_cooldown_ms;
         }
         let can_retry = self.pending[idx].retries < self.cfg.max_retries;
         let budget_ok = self.cfg.bug == RouterSimBug::UnboundedRetries
@@ -795,8 +581,7 @@ impl<'a> ShardHarness<'a> {
             p.retries += 1;
             p.walk += 1;
             p.redirects = 0;
-            self.forward(idx);
-            return;
+            return self.forward(w, idx);
         }
         let p = self.pending.swap_remove(idx);
         let (code, message) = if can_retry {
@@ -813,12 +598,12 @@ impl<'a> ShardHarness<'a> {
             )
         };
         let resp = WireResponse::err(p.rid, failure(ErrorClass::Resource, code, message));
-        self.reply_to_client(&p.client, &resp.render_line());
+        w.route("router", &p.client, &resp.render_line());
     }
 
     /// The hedge delay elapsed: if the slot is still unanswered and the
     /// budget allows, race a duplicate copy against the first.
-    fn maybe_hedge(&mut self, id: u64) {
+    fn maybe_hedge(&mut self, w: &mut World<Ev>, id: u64) {
         let Some(idx) = self.pending.iter().position(|p| p.id == id) else {
             return;
         };
@@ -832,226 +617,197 @@ impl<'a> ShardHarness<'a> {
         self.stats.hedges += 1;
         let p = &mut self.pending[idx];
         p.hedged = true;
-        let offset = p.walk + 1;
-        let endpoint = self.node_addrs
-            [p.group * self.npg + (self.cursors[p.group] + offset) % self.npg]
-            .clone();
-        let line = p.line.clone();
-        self.route("router", &endpoint, &line);
-    }
-
-    fn reply_to_client(&mut self, client: &str, line: &str) {
-        let line = line.trim_end().to_string();
-        self.route("router", client, &line);
+        let (line, group, walk) = (p.line.clone(), p.group, p.walk);
+        let endpoint = self.endpoint(group, walk + 1);
+        w.route("router", &endpoint, &line);
     }
 
     // ---- clients ----------------------------------------------------
 
-    fn client_send(&mut self, ci: usize) {
+    fn client_send(&mut self, w: &mut World<Ev>, ci: usize) {
         let c = &mut self.clients[ci];
-        let Some(rid) = c.queue.first().cloned() else {
+        let Some(rid) = c.queue.first() else {
             c.waiting = false;
             return;
         };
         c.token += 1;
         c.waiting = true;
-        let token = c.token;
-        let from = c.name.clone();
-        let line = WireRequest::new(rid.clone(), WireOp::Ping)
-            .with_request_id(rid)
-            .render_line()
-            .trim_end()
-            .to_string();
-        self.route(&from, "router", &line);
-        self.schedule(
-            self.now + self.cfg.client_timeout_ms,
-            Ev::ClientRetry { client: ci, token },
-        );
+        let (token, line) = (c.token, keyed_request(rid));
+        w.route(&c.name, "router", &line);
+        let at = w.now + self.cfg.client_timeout_ms;
+        w.schedule(at, Ev::ClientRetry { client: ci, token });
     }
 
-    fn client_on_line(&mut self, ci: usize, line: &str) {
+    fn client_on_line(&mut self, w: &mut World<Ev>, ci: usize, line: &str) {
         let Ok(resp) = WireResponse::parse(line) else {
             return;
         };
-        let terminal = match &resp.outcome {
-            Ok(_) => true,
-            Err(f) => f.class == ErrorClass::Numerical,
-        };
-        if terminal {
+        let settles = terminal(&resp);
+        if settles {
             // The byte-identity oracle holds for every terminal answer,
             // current or straggler.
-            let got = line.trim_end().to_string();
-            match self.settled.get(&resp.id) {
-                Some(prev) if *prev != got => {
-                    let prev = prev.clone();
-                    self.violate(format!(
-                        "invariant R4: `{}` answered differently across retries \
-                         (first `{prev}`, then `{got}`)",
-                        resp.id
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    self.settled.insert(resp.id.clone(), got);
-                }
-            }
+            w.answered(&resp.id, line);
             self.answered += 1;
         }
-        let c = &self.clients[ci];
+        let c = &mut self.clients[ci];
         if !c.waiting || c.queue.first() != Some(&resp.id) {
             return; // a straggler for an earlier key
         }
-        if terminal {
-            self.clients[ci].queue.remove(0);
-            self.client_send(ci);
-            return;
+        if settles {
+            c.queue.remove(0);
+            return self.client_send(w, ci);
         }
-        let code = match &resp.outcome {
-            Err(f) => f.code.clone(),
-            Ok(_) => String::new(),
-        };
-        match code.as_str() {
-            // The router says this key's shard is degraded: rotate the
-            // key to the back and keep working the rest of the queue —
-            // one dead shard must not stall the client's other work.
-            "RES-SHARD-DOWN" | "RES-RETRY-BUDGET" => {
-                let c = &mut self.clients[ci];
-                if c.queue.len() > 1 {
-                    let rid = c.queue.remove(0);
-                    c.queue.push(rid);
-                }
-                c.token += 1;
-                let token = c.token;
-                self.schedule(
-                    self.now + self.cfg.client_timeout_ms / 2,
-                    Ev::ClientRetry { client: ci, token },
-                );
-            }
-            _ => {
-                let c = &mut self.clients[ci];
-                c.token += 1;
-                let token = c.token;
-                self.schedule(
-                    self.now + self.cfg.client_timeout_ms / 2,
-                    Ev::ClientRetry { client: ci, token },
-                );
-            }
+        // The router says this key's shard is degraded: rotate the key
+        // to the back and keep working the rest of the queue — one dead
+        // shard must not stall the client's other work.
+        let degraded = resp
+            .outcome
+            .err()
+            .is_some_and(|f| f.code == "RES-SHARD-DOWN" || f.code == "RES-RETRY-BUDGET");
+        if degraded && c.queue.len() > 1 {
+            let rid = c.queue.remove(0);
+            c.queue.push(rid);
         }
+        c.token += 1;
+        let token = c.token;
+        let at = w.now + self.cfg.client_timeout_ms / 2;
+        w.schedule(at, Ev::ClientRetry { client: ci, token });
     }
 
     // ---- faults and invariants --------------------------------------
 
-    fn handle_fault(&mut self, f: FaultEv) {
-        match f {
-            FaultEv::Crash(i) => {
-                if self.nodes[i].up {
-                    self.nodes[i].crash();
-                    self.trace.push(format!(
-                        "t={}ms fault: crash {}",
-                        self.now, self.nodes[i].addr
-                    ));
-                }
-            }
-            FaultEv::HealAll => {
-                self.drop_permille = 0;
-                self.trace.push(format!(
-                    "t={}ms fault: heal-all (crashed replicas restart, loss off)",
-                    self.now
+    fn heal_all(&mut self, w: &mut World<Ev>) {
+        w.net.drop_permille = 0;
+        let line = format!(
+            "t={}ms fault: heal-all (crashed replicas restart, loss off)",
+            w.now
+        );
+        w.trace.push(line);
+        // R1, checked at the barrier: every key owned by a healthy
+        // shard settled while the outage was live.
+        for rid in &self.all_work {
+            let owner = self.ring.shard_of(rid);
+            let exempt = owner.is_some_and(|g| self.affected.contains(&g));
+            if !exempt && !w.settled.contains_key(rid) {
+                w.violate(format!(
+                    "invariant R1: healthy-shard request `{rid}` (shard {owner:?}) \
+                     did not settle during the outage window"
                 ));
-                // R1, checked at the barrier: every key owned by a
-                // healthy shard settled while the outage was live.
-                let work = self.all_work.clone();
-                for rid in work {
-                    let owner = self.ring.shard_of(&rid);
-                    let exempt = owner.is_some_and(|g| self.affected.contains(&g));
-                    if !exempt && !self.settled.contains_key(&rid) {
-                        self.violate(format!(
-                            "invariant R1: healthy-shard request `{rid}` (shard {owner:?}) \
-                             did not settle during the outage window"
-                        ));
-                    }
-                }
-                for i in 0..self.nodes.len() {
-                    if !self.nodes[i].up {
-                        let mut outs = Vec::new();
-                        self.nodes[i].restart(self.now, self.cfg.exec_ms, &mut outs);
-                        self.process_outs(i, outs);
-                        let inc = self.nodes[i].incarnation;
-                        self.schedule(self.now + self.cfg.tick_ms, Ev::NodeTick { node: i, inc });
-                    }
-                }
-                // Convergence probes: every client completes one more
-                // keyed request before the run ends (R4).
-                for ci in 0..self.clients.len() {
-                    let probe = format!("probe-{}", self.clients[ci].name);
-                    self.all_work.push(probe.clone());
-                    self.clients[ci].queue.push(probe);
-                    if !self.clients[ci].waiting {
-                        self.client_send(ci);
-                    }
-                }
+            }
+        }
+        for i in 0..w.nodes.len() {
+            w.start(i, true);
+        }
+        // Convergence probes: every client completes one more keyed
+        // request before the run ends (R4).
+        for ci in 0..self.clients.len() {
+            let probe = format!("probe-{}", self.clients[ci].name);
+            self.all_work.push(probe.clone());
+            self.clients[ci].queue.push(probe);
+            if !self.clients[ci].waiting {
+                self.client_send(w, ci);
             }
         }
     }
 
-    fn check_end(&mut self) {
+    fn check_end(&mut self, w: &mut World<Ev>) {
+        let mut found = Vec::new();
         for g in 0..self.groups {
-            let primaries = self
-                .nodes
-                .iter()
-                .skip(g * self.npg)
-                .take(self.npg)
-                .filter(|n| n.up && n.role == Role::Primary && !n.epoch_state.fenced)
-                .count();
+            let group = &w.nodes[g * self.npg..(g + 1) * self.npg];
+            let primaries = group.iter().filter_map(|n| n.serving()).count();
             if primaries != 1 {
-                self.violate(format!(
+                found.push(format!(
                     "invariant R4: shard {g} ended with {primaries} unfenced primaries \
                      (want exactly 1)"
                 ));
             }
             // R3: a rid executes at most once inside its group unless
             // an explicit failover replayed it.
-            let promotions: u64 = self
-                .nodes
-                .iter()
-                .skip(g * self.npg)
-                .take(self.npg)
-                .map(|n| n.promotions)
-                .sum();
+            let promotions: u64 = group.iter().map(|n| n.promotions).sum();
             let mut execs: HashMap<String, u64> = HashMap::new();
-            for n in self.nodes.iter().skip(g * self.npg).take(self.npg) {
-                for (rid, count) in &n.exec_count {
-                    *execs.entry(rid.clone()).or_insert(0) += count;
-                }
+            for (rid, count) in group.iter().flat_map(|n| &n.exec_count) {
+                *execs.entry(rid.clone()).or_insert(0) += count;
             }
             let mut over: Vec<(String, u64)> = execs.into_iter().filter(|(_, c)| *c > 1).collect();
             over.sort_unstable();
-            for (rid, count) in over {
-                if promotions == 0 {
-                    self.violate(format!(
-                        "invariant R3: `{rid}` executed {count} times on shard {g} \
-                         with no failover to explain the replay"
-                    ));
-                }
+            for (rid, count) in over.into_iter().filter(|_| promotions == 0) {
+                found.push(format!(
+                    "invariant R3: `{rid}` executed {count} times on shard {g} \
+                     with no failover to explain the replay"
+                ));
             }
         }
-        let pending: Vec<String> = self
-            .all_work
-            .iter()
-            .filter(|rid| !self.settled.contains_key(*rid))
-            .cloned()
-            .collect();
-        for rid in pending {
-            self.violate(format!(
-                "invariant R4: request `{rid}` never settled within {} virtual ms",
-                self.cfg.sim_ms
-            ));
+        for v in found {
+            w.violate(v);
+        }
+        w.demand_settled("invariant R4", self.all_work.iter());
+    }
+}
+
+impl Actors for ShardHarness<'_> {
+    type Ev = Ev;
+
+    fn on_event(&mut self, w: &mut World<Ev>, ev: Ev) -> bool {
+        match ev {
+            Ev::ClientRetry { client, token } => {
+                if self.clients[client].waiting && self.clients[client].token == token {
+                    self.client_send(w, client);
+                }
+            }
+            Ev::RouterTimeout { id, token } => {
+                if let Some(idx) = self
+                    .pending
+                    .iter()
+                    .position(|p| (p.id, p.token) == (id, token))
+                {
+                    self.attempt_failed(w, idx);
+                }
+            }
+            Ev::RouterHedge { id } => self.maybe_hedge(w, id),
+            Ev::RouterAskAgain { id, token } => {
+                if let Some(idx) = self
+                    .pending
+                    .iter()
+                    .position(|p| (p.id, p.token) == (id, token))
+                {
+                    self.forward(w, idx);
+                }
+            }
+            Ev::RouterProbe => {
+                let probe = status_query();
+                for addr in &self.node_addrs {
+                    w.route("router", addr, &probe);
+                }
+                w.schedule(w.now + self.cfg.probe_ms, Ev::RouterProbe);
+            }
+            Ev::Crash(i) => w.crash(i),
+            Ev::HealAll => self.heal_all(w),
+            Ev::End => {
+                self.check_end(w);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn on_line(&mut self, w: &mut World<Ev>, from: &str, to: &str, line: &str) {
+        if to == "router" {
+            if let Some(ni) = w.node_index(from) {
+                match ReplMsg::parse(line) {
+                    Some(ReplMsg::StatusReply(st)) => self.router_on_probe_reply(ni, &st.role),
+                    _ => self.router_on_response(w, line),
+                }
+            } else if let Some(ci) = self.clients.iter().position(|c| c.name == from) {
+                self.router_on_request(w, ci, line);
+            }
+        } else if let Some(ci) = self.clients.iter().position(|c| c.name == to) {
+            self.client_on_line(w, ci, line);
         }
     }
 
-    /// R2 (checked after every event) plus the per-group split-brain
-    /// and frozen-journal checks the cluster harness runs.
-    fn check_invariants(&mut self) {
+    /// R2, checked after every event: retry and hedge volume stays under
+    /// the budget bound.
+    fn check(&mut self, w: &mut World<Ev>) {
         let spent = (self.stats.retries + self.stats.hedges).saturating_mul(1000);
         let bound = self.budget_cap_milli.saturating_add(
             self.stats
@@ -1059,7 +815,7 @@ impl<'a> ShardHarness<'a> {
                 .saturating_mul(self.cfg.retry_ratio_milli),
         );
         if spent > bound {
-            self.violate(format!(
+            w.violate(format!(
                 "invariant R2: retry volume exceeded the budget bound \
                  ({} retries + {} hedges = {spent} milli-tokens > cap {} + {} requests × {})",
                 self.stats.retries,
@@ -1069,134 +825,6 @@ impl<'a> ShardHarness<'a> {
                 self.cfg.retry_ratio_milli
             ));
         }
-        for g in 0..self.groups {
-            let mut epochs: Vec<u64> = Vec::new();
-            for n in self.nodes.iter().skip(g * self.npg).take(self.npg) {
-                if n.up && n.role == Role::Primary && !n.epoch_state.fenced {
-                    if epochs.contains(&n.epoch()) {
-                        self.violate(format!(
-                            "invariant R4: two unfenced primaries on shard {g} share epoch {}",
-                            n.epoch()
-                        ));
-                        break;
-                    }
-                    epochs.push(n.epoch());
-                }
-            }
-        }
-        let mut frozen_grew = Vec::new();
-        for n in &self.nodes {
-            if let Some(frozen) = n.frozen_len {
-                if n.journal.len() != frozen {
-                    frozen_grew.push(format!(
-                        "invariant R4: fenced/diverged {} journal changed \
-                         ({} records frozen, now {})",
-                        n.addr,
-                        frozen,
-                        n.journal.len()
-                    ));
-                }
-            }
-        }
-        for v in frozen_grew {
-            self.violate(v);
-        }
-    }
-
-    // ---- plumbing ---------------------------------------------------
-
-    fn process_outs(&mut self, ni: usize, outs: Vec<Out>) {
-        let from = self.nodes[ni].addr.clone();
-        for out in outs {
-            match out {
-                Out::Send { to, line } => self.route(&from, &to, &line),
-                Out::Timer { delay_ms, timer } => {
-                    let inc = self.nodes[ni].incarnation;
-                    self.schedule(
-                        self.now + delay_ms.max(1),
-                        Ev::NodeTimer {
-                            node: ni,
-                            inc,
-                            timer,
-                        },
-                    );
-                }
-                Out::Trace(t) => self.trace.push(t),
-                Out::Violation(v) => self.violate(format!("invariant R3: {v}")),
-            }
-        }
-    }
-
-    /// Puts one line on the wire: loss and jitter apply to every link
-    /// until the heal barrier.
-    fn route(&mut self, from: &str, to: &str, line: &str) {
-        if self.drop_permille > 0 && self.rng.next_u64() % 1000 < self.drop_permille {
-            return;
-        }
-        let delay = self.cfg.net_ms + self.rng.next_u64() % self.cfg.jitter_ms.max(1);
-        let to_inc = self
-            .node_index(to)
-            .map_or(CLIENT_INC, |i| self.nodes[i].incarnation);
-        self.schedule(
-            self.now + delay,
-            Ev::Deliver {
-                from: from.to_string(),
-                to: to.to_string(),
-                to_inc,
-                line: line.to_string(),
-            },
-        );
-    }
-
-    fn violate(&mut self, v: String) {
-        if self.seen_violations.insert(v.clone()) {
-            self.trace.push(format!("t={}ms VIOLATION {v}", self.now));
-            self.violations.push(v);
-        }
-    }
-
-    fn schedule(&mut self, at: u64, ev: Ev) {
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
-            at: at.max(self.now),
-            seq: self.seq,
-            ev,
-        }));
-    }
-
-    fn node_index(&self, addr: &str) -> Option<usize> {
-        self.node_addrs.iter().position(|a| a == addr)
-    }
-
-    fn client_index(&self, name: &str) -> Option<usize> {
-        self.clients.iter().position(|c| c.name == name)
-    }
-
-    fn report(self) -> ShardSimReport {
-        ShardSimReport {
-            seed: self.seed,
-            events: self.events,
-            answered: self.answered,
-            settled: self.settled.len() as u64,
-            requests: self.stats.requests,
-            forwarded: self.stats.forwarded,
-            retries: self.stats.retries,
-            hedges: self.stats.hedges,
-            shed: self.stats.shed,
-            shard_down: self.stats.shard_down,
-            promotions: self.nodes.iter().map(|n| n.promotions).sum(),
-            fences: self.nodes.iter().map(|n| n.fences).sum(),
-            violations: self.violations,
-            trace: self.trace,
-        }
-    }
-}
-
-fn failure(class: ErrorClass, code: &str, message: impl Into<String>) -> WireFailure {
-    WireFailure {
-        class,
-        code: code.to_string(),
-        message: message.into(),
     }
 }
 

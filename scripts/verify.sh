@@ -57,6 +57,17 @@ echo "== simulation: fixed-seed swarm smoke =="
 timeout --kill-after=10 30 ./target/release/lintra sim --seed 1 --swarm 64 \
   | tail -n 1
 
+echo "== simulation: sharded swarms + 500-seed deep swarm (hard timeouts) =="
+# Both simulations run the shipping replication core, so these swarms
+# put the server's own decisions through crashes, blackouts and
+# partitions. Each batch takes about a second of wall clock.
+timeout --kill-after=10 30 ./target/release/lintra sim --shards 2 \
+  --scenario primary-crash --swarm 64 | tail -n 1
+timeout --kill-after=10 30 ./target/release/lintra sim --shards 2 \
+  --scenario blackout --swarm 64 | tail -n 1
+timeout --kill-after=10 600 cargo test --release -p lintra-sim --test sim -q \
+  -- --ignored
+
 echo "== service: scripts/chaos.sh =="
 ./scripts/chaos.sh
 

@@ -497,6 +497,41 @@ fn divergent_follower_is_refused_at_hello_and_never_promotes() {
 }
 
 #[test]
+fn a_rotating_primary_refuses_followers_at_first_contact() {
+    let (pdir, fdir) = (temp_dir("rotate-p"), temp_dir("rotate-f"));
+    // Rotation rewrites journal.log, so a follower mirroring it byte for
+    // byte would silently drift from the primary's history.
+    let primary = start(ServerConfig {
+        journal_rotate_bytes: Some(2048),
+        ..repl_config(&pdir)
+    })
+    .expect("rotating primary");
+    let paddr = primary.addr().to_string();
+    for i in 0..4 {
+        let rid = format!("rotate-key-{i}");
+        let resp = raw_request(&paddr, &keyed_sweep(&rid, &rid, 6));
+        assert!(WireResponse::parse(&resp)
+            .expect("parseable")
+            .outcome
+            .is_ok());
+    }
+    let follower = start(follower_config(&fdir, &paddr)).expect("follower");
+    // The hello is refused with IO-REPL-CORRUPT on first contact: the
+    // follower parks before a single record is shipped.
+    wait_until("the follower parks at its first hello", || {
+        follower.role_info().is_some_and(|ri| ri.diverged)
+    });
+    let ri = follower.role_info().expect("replicated");
+    assert_eq!(ri.seq, 0, "no record was shipped from a rotating journal");
+    assert_eq!(ri.role, "follower");
+
+    follower.shutdown();
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}
+
+#[test]
 fn fencing_is_durable_across_a_restart() {
     let (pdir, fdir) = (temp_dir("refence-p"), temp_dir("refence-f"));
     // A follower that already lived through epoch 2 fences the epoch-1

@@ -129,6 +129,40 @@ fn failover_serves_settled_retries_with_zero_recompute() {
     );
 }
 
+/// The checked-in liveness regression seed: a follower parks diverged,
+/// then the primary it diverged from comes back as a follower and must
+/// promote past it. An arbitration that deferred to every non-fenced
+/// peer with more records waited on the parked follower forever, and
+/// the run ended with no primary.
+const DIVERGED_PEER_SEED: u64 = 1009;
+
+#[test]
+fn a_follower_parked_diverged_never_stalls_failover() {
+    let report = run_sim(DIVERGED_PEER_SEED, &SimConfig::default());
+    assert!(report.passed(), "{}", report.repro());
+    assert!(
+        report.trace.iter().any(|l| l.contains("journal diverged")),
+        "the seed no longer parks a follower:\n{}",
+        report.repro()
+    );
+}
+
+/// The checked-in fencing regression seed: the deposed primary is fenced
+/// while it still executes an admitted request. A node that journaled
+/// that late completion would grow a fenced journal (invariant 4).
+const LATE_COMPLETION_SEED: u64 = 1;
+
+#[test]
+fn a_fenced_node_never_journals_a_late_completion() {
+    let report = run_sim(LATE_COMPLETION_SEED, &SimConfig::default());
+    assert!(report.passed(), "{}", report.repro());
+    assert!(
+        report.fences >= 1,
+        "the seed no longer fences:\n{}",
+        report.repro()
+    );
+}
+
 // --- the sharded router simulation -----------------------------------------
 
 /// The checked-in router regression seed: with
