@@ -8,14 +8,17 @@ pub mod json;
 pub mod render;
 pub mod wire;
 
+use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lintra::engine::{CacheStats, SweepCache, ThreadPool};
 use lintra::linsys::count::{op_count, TrivialityRule};
+use lintra::mcm::{synthesize, McmSolution};
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, TechConfig};
 use lintra::power::VoltageModel;
 use lintra::suite::{suite, Design};
+use lintra::transform::mcm_pass::constant_groups;
 use lintra::LintraError;
 
 /// Fig. 1: `(voltage, normalized delay)` samples over `[1.2 V, 5.0 V]`.
@@ -101,6 +104,21 @@ pub struct EgraphRow {
     /// The saturation result (carries the fixed-script baseline in
     /// `result.script`).
     pub result: saturate::SaturateResult,
+}
+
+/// One distinct MCM instance of a suite design: a constant group the §5
+/// script's MCM pass hands [`synthesize`] at the unfolding
+/// [`asic::optimize`] picks, and the plan it gets back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct McmPlanRow {
+    /// The design.
+    pub name: &'static str,
+    /// The unfolding the script picked.
+    pub unfolding: u32,
+    /// Distinct quantized constants in the group.
+    pub constants: usize,
+    /// The synthesized shift-add plan.
+    pub plan: McmSolution,
 }
 
 /// One design's unfolding sweep: `(i, muls/sample, adds/sample)` per
@@ -329,6 +347,40 @@ pub fn egraph_rows_engine(
             result: saturate::optimize_cached(&d.system, &tech, &cfg, cache)?,
         })
     })
+}
+
+/// Every distinct MCM instance of the §5 script over the suite: per
+/// design, in suite order, the sorted distinct constant groups of the
+/// Horner graph at the unfolding [`asic::optimize`] picks (CSD, 12
+/// fractional bits), each with the plan [`synthesize`] returns. These are
+/// the plans behind Table 4 (3.3 V) and the e-graph suite's script
+/// baseline (5.0 V); see [`table2_rows_engine`] for the contract.
+///
+/// # Errors
+///
+/// Identical to [`table2_rows_engine`].
+pub fn mcm_plan_rows_engine(
+    initial_voltage: f64,
+    pool: &ThreadPool,
+    caches: &SuiteCaches,
+) -> Result<(Vec<McmPlanRow>, CacheStats), LintraError> {
+    let tech = TechConfig::dac96(initial_voltage);
+    let cfg = asic::AsicConfig::default();
+    let (per_design, stats) = suite_fanout(pool, caches, |d, cache| {
+        let unfolding = asic::optimize_cached(&d.system, &tech, &cfg, cache)?.unfolding;
+        let g = cache.horner(unfolding)?.to_dfg()?;
+        let groups: BTreeSet<Vec<i64>> = constant_groups(&g, cfg.frac_bits).into_values().collect();
+        Ok(groups
+            .into_iter()
+            .map(|consts| McmPlanRow {
+                name: d.name,
+                unfolding,
+                constants: consts.len(),
+                plan: synthesize(&consts, cfg.recoding),
+            })
+            .collect::<Vec<_>>())
+    })?;
+    Ok((per_design.into_iter().flatten().collect(), stats))
 }
 
 /// The `--v0 <volts>` initial supply voltage from a bin's command line:

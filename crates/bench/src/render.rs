@@ -5,7 +5,8 @@
 //! looks like" is defined exactly once — a formatting drift in a binary
 //! can no longer diverge from the committed golden files.
 
-use crate::{mean, median, EgraphRow, Table2Row, Table3Row, Table4Row};
+use crate::{mean, median, EgraphRow, McmPlanRow, Table2Row, Table3Row, Table4Row};
+use lintra::engine::snapshot::crc32;
 use lintra::opt::single::UnfoldingOutcome;
 use std::fmt::Write as _;
 
@@ -180,6 +181,33 @@ pub fn render_egraph(rows: &[EgraphRow], v0: f64) -> String {
             r.optimized.total_j(),
             r.script.total_j(),
             r.vs_script(),
+        );
+    }
+    out
+}
+
+/// Renders the suite's MCM plans as the `mcm_plans` binary prints them:
+/// one line per distinct constant group of each design, with the
+/// unfolding, the group size, the plan's adds and shifts, and a CRC-32 of
+/// the plan's `Display` text. The golden snapshot of this text pins every
+/// plan the §5 script synthesizes, expression by expression.
+pub fn render_mcm_plans(rows: &[McmPlanRow], v0: f64) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "MCM plans of the §5 script (initial V = {v0:.1}, CSD, 12 fractional bits)"
+    );
+    for row in rows {
+        let plan = &row.plan;
+        let _ = writeln!(
+            out,
+            "{:<9} V={v0:.1} i={} n={} adds={} shifts={} crc32={:08x}",
+            row.name,
+            row.unfolding,
+            row.constants,
+            plan.adds(),
+            plan.shifts(),
+            crc32(plan.to_string().as_bytes()),
         );
     }
     out

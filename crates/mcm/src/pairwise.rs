@@ -8,6 +8,43 @@
 //! rewritten to reference it. Every extraction of an `m`-term match saves
 //! `m − 1` additions, so the loop monotonically reduces cost and
 //! terminates.
+//!
+//! # The pair memo
+//!
+//! `PairMemo` caches every pair's best match and rescores only what an
+//! extraction can change; three exact shortcuts keep that cheap without
+//! changing a single plan.
+//!
+//! * **Counting into buckets.** A pair `(i, j)` with `i ≠ j` whose
+//!   expressions both have pairwise-distinct terms is scored by counting
+//!   each aligned same-source term pair into a fixed array of
+//!   `(shift, flip)` buckets. The bucket index grows with the shift and
+//!   then the flip, which is the order of the sorted candidate list the
+//!   reference loop walks, so the lowest-indexed fullest bucket is the
+//!   reference's first longest run. With distinct terms each term of `i`
+//!   has one image per transform and meets it at most once in `j`, so a
+//!   bucket's count is its match size and never exceeds
+//!   `min(|i|, |j|)`; an expression that counts holds at most `u8::MAX`
+//!   terms, so the `u8` count cannot overflow. Self-pairs, repeated terms
+//!   and shifts past `MAX_SHIFT` take the sorted-list loop with a greedy
+//!   match per run.
+//! * **Matchless pairs stay matchless.** An extraction removes matched
+//!   terms from `i` and `j` and gives each one reference to the new
+//!   expression `k`. Any other expression `a` holds no reference to `k`,
+//!   so pair `(a, i)` keeps a subset of its aligned term pairs under every
+//!   transform. A match pairs a term only with an equal image, so it can
+//!   only shrink with them: a pair that had no match has none now and is
+//!   not rescored.
+//! * **One match per extraction.** Each memo row keeps the column and size
+//!   of its first longest entry, and only the global winner's matched term
+//!   sets are rebuilt (`match_under`), once per extraction.
+//!
+//! Three tests split the checking. `tests/mcm_differential.rs` holds the
+//! scorer to the reference loop ([`synthesize_reference`]) on every suite
+//! group, and unit tests below do so on random pools. Both share the memo,
+//! so `memoized_matching_equals_full_rescan*` steps it against a full
+//! O(E²) rescan at every extraction. `tests/golden/mcm_plans.txt` pins
+//! the suite's plans.
 
 use crate::csd::recode;
 use crate::plan::{Expr, McmSolution, OutputRef, Source, Term};
@@ -64,7 +101,7 @@ fn synthesize_with(constants: &[i64], recoding: Recoding, reference: bool) -> Mc
     // endpoints were rewritten by the previous extraction, so each
     // iteration costs O(E) pair scans instead of O(E²).
     let mut memo = PairMemo::with_scoring(&exprs, reference);
-    while let Some(best) = memo.global_best() {
+    while let Some(best) = memo.global_best(&exprs) {
         let (i, j) = (best.i, best.j);
         apply_match(&mut exprs, best);
         memo.refresh(&exprs, i, j);
@@ -152,8 +189,8 @@ impl Match {
 }
 
 /// What the memo keeps per pair: the winning transform and its match
-/// size. The matched index sets are rebuilt ([`materialize`]) only for a
-/// pair that leads its memo row.
+/// size. The matched index sets are rebuilt ([`materialize`]) only for
+/// the pair an extraction applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Score {
     shift: i64,
@@ -265,58 +302,88 @@ fn pair_best_reference(
     best
 }
 
-/// Whether an expression's terms are pairwise distinct, the precondition
-/// for scoring its pairs by counting.
-fn terms_distinct(e: &Expr) -> bool {
-    e.terms
-        .iter()
-        .enumerate()
-        .all(|(a, t)| !e.terms[..a].contains(t))
+/// Largest term shift the counting buckets cover. Every shift `synthesize`
+/// produces fits: an `i64` constant has no digit above bit 63, extracted
+/// expressions shift their terms down, and a reference to one takes a
+/// matched term's shift.
+const MAX_SHIFT: u32 = 63;
+
+/// One bucket per transform `(shift, flip)` with `|shift| ≤ MAX_SHIFT`.
+const BUCKETS: usize = 2 * (2 * MAX_SHIFT as usize + 1);
+
+/// Bucket of transform `(shift, flip)`: ascending in `shift`, then
+/// `false` before `true` — the sorted candidate order.
+fn bucket(shift: i64, flip: bool) -> usize {
+    2 * (shift + MAX_SHIFT as i64) as usize + flip as usize
+}
+
+/// Whether expression `e`'s pairs with other expressions may be scored by
+/// counting: its terms are pairwise distinct (so a bucket's count is a
+/// match size), there are at most `u8::MAX` of them (so the count fits)
+/// and every shift lies within the buckets.
+fn countable(e: &Expr) -> bool {
+    e.terms.len() <= u8::MAX as usize
+        && e.terms.iter().all(|t| t.shift <= MAX_SHIFT)
+        && e.terms
+            .iter()
+            .enumerate()
+            .all(|(a, t)| !e.terms[..a].contains(t))
+}
+
+/// Scratch reused across pair scans.
+struct Scratch {
+    /// Candidate transforms of the sorted-list loop.
+    cands: Vec<(i64, bool)>,
+    /// Aligned-pair count per transform bucket, all zero between scans.
+    counts: [u8; BUCKETS],
+    /// The buckets a counting scan made nonzero.
+    touched: Vec<usize>,
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        Scratch {
+            cands: Vec::new(),
+            counts: [0; BUCKETS],
+            touched: Vec::new(),
+        }
+    }
 }
 
 /// Best match within one fixed pair `(i, j)`: the score of exactly what
 /// [`pair_best_reference`] returns, with far fewer greedy matches.
-/// `distinct[e]` says whether expression `e`'s terms are pairwise
-/// distinct.
+/// `countable[e]` is [`countable`] of expression `e`.
 ///
-/// Candidate transforms are walked as runs of the sorted list, one entry
-/// per aligned term pair. Every matched term pair is an aligned pair of
-/// that transform, so a run's length bounds its greedy match from above:
-/// a run no longer than the best match so far can't beat it and is
-/// skipped without matching.
-///
-/// When `i ≠ j` and both expressions' terms are pairwise distinct, the
-/// bound is exact: each term of `i` whose image lies in `j` meets exactly
-/// one partner, and no two want the same one. The run length then *is*
-/// the match size, the first longest run is the reference's winner, and
-/// no greedy match runs at all. The pool keeps terms distinct: recoded
-/// digits have distinct shifts, and every extraction replaces matched
-/// terms by references to a brand-new expression. The memo checks that
-/// invariant rather than assuming it; a pair with a repeated term, like a
-/// self-pair (where a term may play only one role), matches each
-/// surviving run greedily.
+/// When `i ≠ j` and both expressions count, each aligned term pair is
+/// counted into its transform's bucket ([`count_aligned`]) and no greedy
+/// match runs at all. Otherwise candidate transforms are walked as runs of
+/// the sorted list, one entry per aligned term pair. Every matched term
+/// pair is an aligned pair of that transform, so a run's length bounds its
+/// greedy match from above: a run no longer than the best match so far
+/// can't beat it and is skipped without matching. The pool keeps terms
+/// distinct — recoded digits have distinct shifts, and every extraction
+/// replaces matched terms by references to a brand-new expression — but
+/// the memo checks that invariant rather than assuming it.
 fn pair_best(
     exprs: &[Expr],
-    distinct: &[bool],
+    countable: &[bool],
     i: usize,
     j: usize,
-    cands: &mut Vec<(i64, bool)>,
+    scratch: &mut Scratch,
 ) -> Option<Score> {
-    candidates(exprs, i, j, cands);
-    let counted = i != j && distinct[i] && distinct[j];
+    if i != j && countable[i] && countable[j] {
+        return count_aligned(&exprs[i], &exprs[j], scratch);
+    }
+    candidates(exprs, i, j, &mut scratch.cands);
     let mut best: Option<Score> = None;
-    for run in cands.chunk_by(|a, b| a == b) {
+    for run in scratch.cands.chunk_by(|a, b| a == b) {
         let (shift, flip) = run[0];
         // A match must have ≥ 2 terms and beat the best so far.
         let floor = best.map_or(1, |b| b.len);
         if run.len() <= floor || (i == j && shift == 0 && !flip) {
             continue;
         }
-        let len = if counted {
-            run.len()
-        } else {
-            match_under(exprs, i, j, shift, flip).0.len()
-        };
+        let len = match_under(exprs, i, j, shift, flip).0.len();
         if len > floor {
             best = Some(Score { shift, flip, len });
         }
@@ -324,30 +391,73 @@ fn pair_best(
     best
 }
 
+/// Scores a pair of distinct expressions whose terms are pairwise
+/// distinct and within the buckets: each term of `a` meets its image
+/// under a transform at most once in `b`, so a bucket's count is that
+/// transform's match size, at most `min(|a|, |b|) ≤ u8::MAX`. The lowest
+/// fullest bucket is the first longest run of the sorted candidate list.
+/// Leaves the scratch counts zeroed.
+fn count_aligned(a: &Expr, b: &Expr, scratch: &mut Scratch) -> Option<Score> {
+    let Scratch {
+        counts, touched, ..
+    } = scratch;
+    // (bucket, count) of the lowest fullest bucket so far.
+    let mut top = (0, 0u8);
+    for t in &a.terms {
+        for u in &b.terms {
+            if t.source == u.source {
+                let k = bucket(u.shift as i64 - t.shift as i64, t.neg ^ u.neg);
+                let n = counts[k] + 1;
+                counts[k] = n;
+                if n == 1 {
+                    touched.push(k);
+                }
+                if n > top.1 || (n == top.1 && k < top.0) {
+                    top = (k, n);
+                }
+            }
+        }
+    }
+    for k in touched.drain(..) {
+        counts[k] = 0;
+    }
+    let (k, len) = top;
+    (len >= 2).then(|| Score {
+        shift: (k / 2) as i64 - MAX_SHIFT as i64,
+        flip: k % 2 == 1,
+        len: len as usize,
+    })
+}
+
 /// Per-pair memo of within-pair best matches.
 ///
 /// A match for pair `(a, b)` depends only on `exprs[a]` and `exprs[b]`, so
 /// after an extraction rewrites expressions `i` and `j` and appends the
 /// shared expression `k`, every pair avoiding `{i, j, k}` keeps its cached
-/// match. Selection order is identical to a full rescan: pairs are scanned
-/// in ascending `(i, j)` with a strictly-greater size test, and each
-/// cached entry was itself chosen by the same rule over sorted candidate
-/// transforms — so the memoized loop extracts exactly the same sequence of
-/// matches as the O(E²)-per-iteration rescan (asserted by a test below).
-/// Each row also keeps its first longest entry as a full match, so picking
-/// the global winner reads one entry per row instead of all E²/2.
+/// match, and so does a matchless pair `(a, i)` or `(a, j)` with
+/// `a ∉ {i, j, k}` (see the module docs). Selection order is identical to
+/// a full rescan: pairs are scanned in ascending `(i, j)` with a
+/// strictly-greater size test, and each cached entry was itself chosen by
+/// the same rule over sorted candidate transforms — so the memoized loop
+/// extracts exactly the same sequence of matches as the O(E²)-per-iteration
+/// rescan (asserted by a test below). Each row also keeps the column and
+/// size of its first longest entry, so picking the global winner reads one
+/// entry per row instead of all E²/2.
 struct PairMemo {
     /// `best[i][j - i]` = score of the best match within pair `(i, j)`,
     /// `i ≤ j`.
     best: Vec<Vec<Option<Score>>>,
-    /// `top[i]` = row `i`'s first longest match (`None`: the row has none).
-    top: Vec<Option<Match>>,
-    /// `distinct[e]`: expression `e`'s terms are pairwise distinct.
-    distinct: Vec<bool>,
+    /// `top[i]` = `(column, size)` of row `i`'s first longest entry
+    /// (`None`: the row has no match).
+    top: Vec<Option<(usize, usize)>>,
+    /// `countable[e]`: [`countable`] of expression `e`.
+    countable: Vec<bool>,
     /// Score every pair with the reference loop instead of by counting.
     reference: bool,
-    /// Scratch for candidate transforms, reused across pair scans.
-    cands: Vec<(i64, bool)>,
+    scratch: Scratch,
+    /// Matchless pairs a refresh left unscored.
+    #[cfg(test)]
+    skipped: usize,
 }
 
 impl PairMemo {
@@ -360,9 +470,11 @@ impl PairMemo {
         let mut memo = PairMemo {
             best: Vec::with_capacity(exprs.len()),
             top: Vec::with_capacity(exprs.len()),
-            distinct: Vec::with_capacity(exprs.len()),
+            countable: Vec::with_capacity(exprs.len()),
             reference,
-            cands: Vec::new(),
+            scratch: Scratch::new(),
+            #[cfg(test)]
+            skipped: 0,
         };
         memo.extend(exprs);
         memo
@@ -370,9 +482,9 @@ impl PairMemo {
 
     fn score(&mut self, exprs: &[Expr], a: usize, b: usize) -> Option<Score> {
         if self.reference {
-            pair_best_reference(exprs, a, b, &mut self.cands).map(|m| m.score())
+            pair_best_reference(exprs, a, b, &mut self.scratch.cands).map(|m| m.score())
         } else {
-            pair_best(exprs, &self.distinct, a, b, &mut self.cands)
+            pair_best(exprs, &self.countable, a, b, &mut self.scratch)
         }
     }
 
@@ -380,85 +492,95 @@ impl PairMemo {
     /// columns of existing rows, then new rows.
     fn extend(&mut self, exprs: &[Expr]) {
         let e = exprs.len();
-        for x in &exprs[self.distinct.len()..] {
-            self.distinct.push(terms_distinct(x));
+        for x in &exprs[self.countable.len()..] {
+            self.countable.push(countable(x));
         }
         for a in 0..self.best.len() {
             for b in (a + self.best[a].len())..e {
                 let s = self.score(exprs, a, b);
-                self.set(exprs, a, b, s);
+                self.set(a, b, s);
             }
         }
         for a in self.best.len()..e {
             let row: Vec<Option<Score>> = (a..e).map(|b| self.score(exprs, a, b)).collect();
-            let top = first_longest(&row).and_then(|c| Some(materialize(exprs, a, a + c, row[c]?)));
-            self.top.push(top);
+            self.top.push(first_longest(&row));
             self.best.push(row);
         }
     }
 
     /// Re-scans every pair touching `i`, `j`, or an expression appended
-    /// since the last refresh; all other entries stay cached.
+    /// since the last refresh, except the matchless pairs an extraction
+    /// of `(i, j)` cannot have given a match; all other entries stay
+    /// cached.
     fn refresh(&mut self, exprs: &[Expr], i: usize, j: usize) {
         for d in [i, j] {
-            self.distinct[d] = terms_distinct(&exprs[d]);
+            self.countable[d] = countable(&exprs[d]);
         }
+        // Every pair with a new expression is scored here.
+        let old = self.best.len();
         self.extend(exprs);
-        // Pairs with a rewritten endpoint.
-        for d in [i, j] {
-            for a in 0..exprs.len() {
+        // Pairs with a rewritten endpoint and an old one, each once.
+        let ends: &[usize] = if i == j { &[i] } else { &[i, j] };
+        for (n, &d) in ends.iter().enumerate() {
+            for a in 0..old {
+                if n == 1 && a == i {
+                    continue; // (i, j), rescored for d = i
+                }
                 let (lo, hi) = if a <= d { (a, d) } else { (d, a) };
+                if a != i && a != j && self.best[lo][hi - lo].is_none() {
+                    #[cfg(test)]
+                    {
+                        self.skipped += 1;
+                    }
+                    continue;
+                }
                 let s = self.score(exprs, lo, hi);
-                self.set(exprs, lo, hi, s);
+                self.set(lo, hi, s);
             }
         }
     }
 
     /// Stores pair `(a, b)`'s score, appending it when `b` is a new
     /// column, and keeps row `a`'s top current.
-    fn set(&mut self, exprs: &[Expr], a: usize, b: usize, s: Option<Score>) {
+    fn set(&mut self, a: usize, b: usize, s: Option<Score>) {
         let col = b - a;
         let len = s.map_or(0, |s| s.len);
         let row = &mut self.best[a];
-        // The top's stored size, read before the entry may be overwritten.
-        // Mid-refresh the top's match may be stale; its score is what
-        // ranks it.
-        let old = self.top[a].as_ref().map(|m| m.j - a);
-        let n = old.and_then(|c| row[c]).map_or(0, |s| s.len);
         if col == row.len() {
             row.push(s);
         } else {
             row[col] = s;
         }
-        let top = match old {
+        let top = &mut self.top[a];
+        *top = match *top {
             // The top entry shrank: any other entry may lead now.
-            Some(c) if c == col && len < n => first_longest(row),
-            Some(c) if c == col || len < n || (len == n && c < col) => Some(c),
-            _ if len > 0 => Some(col),
+            Some((c, n)) if c == col && len < n => first_longest(row),
+            Some((c, n)) if c != col && (len < n || (len == n && c < col)) => Some((c, n)),
+            _ if len > 0 => Some((col, len)),
             _ => None,
         };
-        // Rebuild the top's match when it moved or its entry was rescored.
-        if top != old || top == Some(col) {
-            self.top[a] = top.and_then(|c| Some(materialize(exprs, a, a + c, row[c]?)));
-        }
     }
 
     /// The match a full rescan would select: first pair in ascending
     /// `(i, j)` order whose cached match is strictly larger than every
-    /// earlier one.
-    fn global_best(&self) -> Option<Match> {
-        let mut best: Option<&Match> = None;
-        for m in self.top.iter().flatten() {
-            if best.is_none_or(|b| m.len() > b.len()) {
-                best = Some(m);
+    /// earlier one, materialized.
+    fn global_best(&self, exprs: &[Expr]) -> Option<Match> {
+        // (row, column, size) of the winner so far.
+        let mut best: Option<(usize, usize, usize)> = None;
+        for (a, top) in self.top.iter().enumerate() {
+            if let Some((c, n)) = *top {
+                if best.is_none_or(|(_, _, m)| n > m) {
+                    best = Some((a, c, n));
+                }
             }
         }
-        best.cloned()
+        let (a, c, _) = best?;
+        Some(materialize(exprs, a, a + c, self.best[a][c]?))
     }
 }
 
-/// Column of the first longest entry in a memo row.
-fn first_longest(row: &[Option<Score>]) -> Option<usize> {
+/// `(column, size)` of the first longest entry in a memo row.
+fn first_longest(row: &[Option<Score>]) -> Option<(usize, usize)> {
     let mut top: Option<(usize, usize)> = None;
     for (c, s) in row.iter().enumerate() {
         if let Some(s) = s {
@@ -467,7 +589,7 @@ fn first_longest(row: &[Option<Score>]) -> Option<usize> {
             }
         }
     }
-    top.map(|(c, _)| c)
+    top
 }
 
 /// Scans all pairs and transforms for the largest match of size ≥ 2 —
@@ -624,16 +746,51 @@ mod tests {
         }
     }
 
+    /// Steps the memoized loop and the O(E²) rescan side by side on
+    /// `exprs` and asserts they extract the same match at every step.
+    /// Returns how many matchless pairs the memo's refreshes left
+    /// unscored.
+    fn check_memo(mut exprs: Vec<Expr>) -> usize {
+        let mut naive = exprs.clone();
+        let mut memo = PairMemo::new(&exprs);
+        loop {
+            let fast = memo.global_best(&exprs);
+            let slow = best_match(&naive);
+            assert_eq!(fast, slow, "divergence on {naive:?}");
+            let Some(m) = fast else { break };
+            let (i, j) = (m.i, m.j);
+            apply_match(&mut exprs, m.clone());
+            apply_match(&mut naive, m);
+            memo.refresh(&exprs, i, j);
+        }
+        assert_eq!(exprs, naive);
+        memo.skipped
+    }
+
+    /// `count` seeded constants of up to 16 bits, negative, even and
+    /// repeated ones included.
+    fn random_constants(rng: &mut lintra_matrix::rng::SplitMix64, count: u64) -> Vec<i64> {
+        let bits = 4 + rng.next_below(13) as u32;
+        let mut consts: Vec<i64> = Vec::new();
+        for _ in 0..count {
+            let c = if !consts.is_empty() && rng.next_below(4) == 0 {
+                consts[rng.next_below(consts.len() as u64) as usize]
+            } else {
+                rng.range_i64(-(1 << bits), 1 << bits) << rng.next_below(3)
+            };
+            consts.push(c);
+        }
+        consts
+    }
+
     #[test]
     fn memoized_matching_equals_full_rescan() {
-        // Drive the memoized loop and the O(E²) rescan side by side on the
-        // same pool and assert they extract the same match at every step.
         for set in [
             vec![185i64, 235, 77, 1997, 45],
             (1..=24).map(|k| (k * 37 % 255) + 1).collect(),
             vec![3, 5, 9, 17, 33, 65, 129, 257],
         ] {
-            let mut exprs: Vec<Expr> = set
+            let exprs: Vec<Expr> = set
                 .iter()
                 .map(|&c| Expr {
                     terms: recode(c, Recoding::Csd)
@@ -646,20 +803,28 @@ mod tests {
                         .collect(),
                 })
                 .collect();
-            let mut naive = exprs.clone();
-            let mut memo = PairMemo::new(&exprs);
-            loop {
-                let fast = memo.global_best();
-                let slow = best_match(&naive);
-                assert_eq!(fast, slow, "divergence on {set:?}");
-                let Some(m) = fast else { break };
-                let (i, j) = (m.i, m.j);
-                apply_match(&mut exprs, m.clone());
-                apply_match(&mut naive, m);
-                memo.refresh(&exprs, i, j);
-            }
-            assert_eq!(exprs, naive);
+            check_memo(exprs);
         }
+    }
+
+    #[test]
+    fn memoized_matching_equals_full_rescan_on_random_pools() {
+        let mut rng = lintra_matrix::rng::SplitMix64::new(0x3E30_0001);
+        let mut skipped = 0;
+        for round in 0..32 {
+            let recoding = if round % 2 == 0 {
+                Recoding::Csd
+            } else {
+                Recoding::Binary
+            };
+            let count = 24 + rng.next_below(41);
+            let consts = random_constants(&mut rng, count);
+            let (exprs, _) = initial_pool(&consts, recoding);
+            skipped += check_memo(exprs);
+        }
+        // Pools this size always leave matchless pairs for a refresh to
+        // skip; none skipped would mean the shortcut is dead code.
+        assert!(skipped > 0, "no refresh skipped a matchless pair");
     }
 
     /// Steps the extraction loop on `exprs` and, before every step,
@@ -667,15 +832,15 @@ mod tests {
     /// self-pairs included. Returns how many pairs a bare run count
     /// (distinctness assumed, not checked) would have misjudged.
     fn check_scorer(mut exprs: Vec<Expr>) -> usize {
-        let mut cands = Vec::new();
+        let mut scratch = Scratch::new();
         let mut misjudged = 0;
         loop {
-            let distinct: Vec<bool> = exprs.iter().map(terms_distinct).collect();
+            let counted: Vec<bool> = exprs.iter().map(countable).collect();
             let assumed = vec![true; exprs.len()];
             for i in 0..exprs.len() {
                 for j in i..exprs.len() {
-                    let fast = pair_best(&exprs, &distinct, i, j, &mut cands);
-                    let slow = pair_best_reference(&exprs, i, j, &mut cands);
+                    let fast = pair_best(&exprs, &counted, i, j, &mut scratch);
+                    let slow = pair_best_reference(&exprs, i, j, &mut scratch.cands);
                     assert_eq!(
                         fast,
                         slow.as_ref().map(Match::score),
@@ -684,7 +849,7 @@ mod tests {
                     if let (Some(s), Some(m)) = (fast, slow) {
                         assert_eq!(materialize(&exprs, i, j, s), m, "({i}, {j}) {exprs:?}");
                     }
-                    if i != j && pair_best(&exprs, &assumed, i, j, &mut cands) != fast {
+                    if i != j && pair_best(&exprs, &assumed, i, j, &mut scratch) != fast {
                         misjudged += 1;
                     }
                 }
@@ -706,16 +871,8 @@ mod tests {
             };
             // Negative, even and repeated constants: the pool holds each
             // odd part once, as `synthesize` builds it.
-            let bits = 4 + rng.next_below(13) as u32;
-            let mut consts: Vec<i64> = Vec::new();
-            for _ in 0..2 + rng.next_below(24) {
-                let c = if !consts.is_empty() && rng.next_below(4) == 0 {
-                    consts[rng.next_below(consts.len() as u64) as usize]
-                } else {
-                    rng.range_i64(-(1 << bits), 1 << bits) << rng.next_below(3)
-                };
-                consts.push(c);
-            }
+            let count = 2 + rng.next_below(24);
+            let consts = random_constants(&mut rng, count);
             let (exprs, _) = initial_pool(&consts, recoding);
             assert_eq!(check_scorer(exprs), 0, "{consts:?} {recoding:?}");
             let sol = synthesize(&consts, recoding);

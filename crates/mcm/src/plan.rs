@@ -64,6 +64,20 @@ pub enum VerifyMcmError {
         /// Index of an expression on the cycle.
         expr: usize,
     },
+    /// A term references an expression past the end of
+    /// [`McmSolution::exprs`].
+    DanglingReference {
+        /// The referenced index.
+        expr: usize,
+    },
+    /// A term shifts by 128 bits or more, past the width of the `i128`
+    /// evaluation.
+    ShiftOutOfRange {
+        /// The term's shift.
+        shift: u32,
+    },
+    /// A term, expression or output value does not fit in an `i128`.
+    Overflow,
 }
 
 impl fmt::Display for VerifyMcmError {
@@ -82,6 +96,13 @@ impl fmt::Display for VerifyMcmError {
             VerifyMcmError::ReferenceCycle { expr } => {
                 write!(f, "mcm plan contains a reference cycle at e{expr}")
             }
+            VerifyMcmError::DanglingReference { expr } => {
+                write!(f, "mcm plan references e{expr}, which it does not define")
+            }
+            VerifyMcmError::ShiftOutOfRange { shift } => {
+                write!(f, "mcm plan shifts by {shift} bits, past 127")
+            }
+            VerifyMcmError::Overflow => write!(f, "mcm plan value overflows 128 bits"),
         }
     }
 }
@@ -105,18 +126,22 @@ pub struct McmSolution {
 }
 
 impl McmSolution {
-    /// Value computed by a term, given already-evaluated expression values.
-    fn term_value(term: &Term, values: &[i128]) -> i128 {
-        let base = match term.source {
-            Source::Input => 1i128,
-            Source::Expr(i) => values[i],
-        };
-        let v = base << term.shift;
-        if term.neg {
-            -v
-        } else {
-            v
+    /// Value computed by a term whose source evaluates to `base`.
+    fn term_value(term: &Term, base: i128) -> Result<i128, VerifyMcmError> {
+        if term.shift >= i128::BITS {
+            return Err(VerifyMcmError::ShiftOutOfRange { shift: term.shift });
         }
+        let signed = if term.neg {
+            base.checked_neg().ok_or(VerifyMcmError::Overflow)?
+        } else {
+            base
+        };
+        let v = signed << term.shift;
+        // The shift lost bits (or the sign) unless it undoes exactly.
+        if v >> term.shift != signed {
+            return Err(VerifyMcmError::Overflow);
+        }
+        Ok(v)
     }
 
     /// Evaluates every expression for `x = 1` (so each value *is* the
@@ -129,7 +154,11 @@ impl McmSolution {
     /// # Errors
     ///
     /// Returns [`VerifyMcmError::ReferenceCycle`] if the plan contains a
-    /// reference cycle (which a correctly synthesized plan never does).
+    /// reference cycle, [`VerifyMcmError::DanglingReference`] if a term
+    /// references a missing expression,
+    /// [`VerifyMcmError::ShiftOutOfRange`] for a shift of 128 or more and
+    /// [`VerifyMcmError::Overflow`] for a value past `i128` (none of which
+    /// a correctly synthesized plan has).
     pub fn expr_values(&self) -> Result<Vec<i128>, VerifyMcmError> {
         #[derive(Clone, Copy, PartialEq)]
         enum State {
@@ -143,10 +172,11 @@ impl McmSolution {
             values: &mut [i128],
             state: &mut [State],
         ) -> Result<i128, VerifyMcmError> {
-            match state[i] {
-                State::Done => return Ok(values[i]),
-                State::InProgress => return Err(VerifyMcmError::ReferenceCycle { expr: i }),
-                State::Unvisited => {}
+            match state.get(i) {
+                None => return Err(VerifyMcmError::DanglingReference { expr: i }),
+                Some(State::Done) => return Ok(values[i]),
+                Some(State::InProgress) => return Err(VerifyMcmError::ReferenceCycle { expr: i }),
+                Some(State::Unvisited) => {}
             }
             state[i] = State::InProgress;
             let mut sum = 0i128;
@@ -155,8 +185,9 @@ impl McmSolution {
                     Source::Input => 1i128,
                     Source::Expr(j) => eval(exprs, j, values, state)?,
                 };
-                let v = base << t.shift;
-                sum += if t.neg { -v } else { v };
+                sum = sum
+                    .checked_add(McmSolution::term_value(t, base)?)
+                    .ok_or(VerifyMcmError::Overflow)?;
             }
             values[i] = sum;
             state[i] = State::Done;
@@ -175,26 +206,33 @@ impl McmSolution {
     ///
     /// # Errors
     ///
-    /// Returns [`VerifyMcmError::ReferenceCycle`] if the plan contains a
-    /// reference cycle.
+    /// Those of [`McmSolution::expr_values`], for the expressions and for
+    /// the outputs' own terms.
     pub fn output_values(&self) -> Result<Vec<i128>, VerifyMcmError> {
         let values = self.expr_values()?;
-        Ok(self
-            .outputs
+        self.outputs
             .iter()
             .map(|(_, r)| match r {
-                OutputRef::Zero => 0,
-                OutputRef::Scaled(t) => Self::term_value(t, &values),
+                OutputRef::Zero => Ok(0),
+                OutputRef::Scaled(t) => {
+                    let base = match t.source {
+                        Source::Input => 1i128,
+                        Source::Expr(j) => *values
+                            .get(j)
+                            .ok_or(VerifyMcmError::DanglingReference { expr: j })?,
+                    };
+                    McmSolution::term_value(t, base)
+                }
             })
-            .collect())
+            .collect()
     }
 
     /// Checks that every output computes its requested constant.
     ///
     /// # Errors
     ///
-    /// Returns the first mismatching output, or
-    /// [`VerifyMcmError::ReferenceCycle`] for an unevaluable plan.
+    /// Returns the first mismatching output, or the error of
+    /// [`McmSolution::output_values`] for an unevaluable plan.
     pub fn verify(&self) -> Result<(), VerifyMcmError> {
         for (i, (v, (c, _))) in self.output_values()?.iter().zip(&self.outputs).enumerate() {
             if *v != *c as i128 {
@@ -350,6 +388,97 @@ mod tests {
         assert!(sol.verify().is_err());
         // Display must not panic either.
         let _ = format!("{sol}");
+    }
+
+    #[test]
+    fn dangling_reference_reported_not_panicking() {
+        // e0 references e1, which does not exist; so does the output.
+        for sol in [
+            McmSolution {
+                exprs: vec![Expr {
+                    terms: vec![t(Source::Input, 0, false), t(Source::Expr(1), 1, false)],
+                }],
+                outputs: vec![(3, OutputRef::Scaled(t(Source::Expr(0), 0, false)))],
+            },
+            McmSolution {
+                exprs: vec![],
+                outputs: vec![(3, OutputRef::Scaled(t(Source::Expr(1), 0, false)))],
+            },
+        ] {
+            let err = sol.verify().unwrap_err();
+            assert_eq!(err, VerifyMcmError::DanglingReference { expr: 1 });
+            assert!(err.to_string().contains("e1"), "{err}");
+            let _ = format!("{sol}");
+        }
+    }
+
+    #[test]
+    fn shift_out_of_range_reported_not_panicking() {
+        // A shift of 128 is past the i128 evaluation, in an expression
+        // and in an output.
+        for sol in [
+            McmSolution {
+                exprs: vec![Expr {
+                    terms: vec![t(Source::Input, 0, false), t(Source::Input, 128, false)],
+                }],
+                outputs: vec![(1, OutputRef::Scaled(t(Source::Expr(0), 0, false)))],
+            },
+            McmSolution {
+                exprs: vec![],
+                outputs: vec![(1, OutputRef::Scaled(t(Source::Input, 200, true)))],
+            },
+        ] {
+            assert!(matches!(
+                sol.verify().unwrap_err(),
+                VerifyMcmError::ShiftOutOfRange { shift: 128 | 200 }
+            ));
+            let _ = format!("{sol}");
+        }
+    }
+
+    #[test]
+    fn overflow_reported_not_panicking() {
+        // x<<126 + x<<126 = 2^127 overflows the sum; (x<<64)<<64 loses
+        // every bit to the shift; -(-x<<127) negates i128::MIN.
+        let big = t(Source::Input, 126, false);
+        let sols = [
+            vec![Expr {
+                terms: vec![big, big],
+            }],
+            vec![
+                Expr {
+                    terms: vec![t(Source::Input, 64, false)],
+                },
+                Expr {
+                    terms: vec![t(Source::Expr(0), 64, false)],
+                },
+            ],
+            vec![
+                Expr {
+                    terms: vec![t(Source::Input, 127, true)],
+                },
+                Expr {
+                    terms: vec![t(Source::Expr(0), 0, true)],
+                },
+            ],
+        ];
+        for exprs in sols {
+            let sol = McmSolution {
+                exprs,
+                outputs: vec![(1, OutputRef::Scaled(t(Source::Expr(0), 0, false)))],
+            };
+            assert_eq!(sol.verify().unwrap_err(), VerifyMcmError::Overflow);
+            assert_eq!(sol.expr_values().unwrap_err(), VerifyMcmError::Overflow);
+            let _ = format!("{sol}");
+        }
+        // -(x<<127) is i128::MIN itself, which fits.
+        let sol = McmSolution {
+            exprs: vec![Expr {
+                terms: vec![t(Source::Input, 127, true)],
+            }],
+            outputs: vec![],
+        };
+        assert_eq!(sol.expr_values().unwrap(), vec![i128::MIN]);
     }
 
     #[test]

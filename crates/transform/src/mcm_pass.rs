@@ -159,6 +159,27 @@ impl GroupEmitter {
     }
 }
 
+/// The MCM instances of `g`: for every node that drives a `MulConst`, the
+/// node's index and its multipliers' constants quantized to `frac_bits`,
+/// sorted and deduplicated — exactly what [`expand_multiplications`] hands
+/// [`synthesize`] for that node.
+pub fn constant_groups(g: &Dfg, frac_bits: u32) -> HashMap<usize, Vec<i64>> {
+    let mut groups: HashMap<usize, Vec<i64>> = HashMap::new();
+    for (_, n) in g.iter() {
+        if let NodeKind::MulConst(c) = n.kind {
+            groups
+                .entry(n.preds[0].0)
+                .or_default()
+                .push(quantize(c, frac_bits));
+        }
+    }
+    for consts in groups.values_mut() {
+        consts.sort_unstable();
+        consts.dedup();
+    }
+    groups
+}
+
 /// Replaces every `MulConst` node by a shared shift-add network (one MCM
 /// instance per driven variable) and returns the rebuilt graph.
 ///
@@ -174,16 +195,7 @@ pub fn expand_multiplications(
     g: &Dfg,
     config: McmPassConfig,
 ) -> Result<(Dfg, McmPassReport), DfgError> {
-    // Group MulConst nodes by predecessor.
-    let mut groups: HashMap<usize, Vec<i64>> = HashMap::new();
-    for (_, n) in g.iter() {
-        if let NodeKind::MulConst(c) = n.kind {
-            groups
-                .entry(n.preds[0].0)
-                .or_default()
-                .push(quantize(c, config.frac_bits));
-        }
-    }
+    let groups = constant_groups(g, config.frac_bits);
     let mut report = McmPassReport {
         groups: groups.len() as u64,
         ..Default::default()
@@ -194,9 +206,7 @@ pub fn expand_multiplications(
     let mut plans: HashMap<Vec<i64>, McmSolution> = HashMap::new();
     let mut emitters: HashMap<usize, GroupEmitter> = groups
         .into_iter()
-        .map(|(pred, mut consts)| {
-            consts.sort_unstable();
-            consts.dedup();
+        .map(|(pred, consts)| {
             let plan = plans
                 .entry(consts.clone())
                 .or_insert_with(|| synthesize(&consts, config.recoding))

@@ -1,28 +1,36 @@
 //! Deep differential for MCM pairwise matching: `synthesize`, which
-//! scores expression pairs by counting, against `synthesize_reference`,
-//! which runs the original candidate loop, on every constant group the §5
-//! script hands the MCM pass across the suite.
+//! scores most expression pairs by counting aligned terms into
+//! `(shift, flip)` buckets, against `synthesize_reference`, which runs the
+//! original candidate loop (one greedy match per candidate transform), on
+//! every constant group the §5 script hands the MCM pass across the
+//! suite.
+//!
+//! This checks the scorer. Both functions share the pair memo that picks
+//! each extraction, so a memo bug would show in neither; the memo is held
+//! to a full O(E²) rescan at every extraction by the unit tests
+//! `memoized_matching_equals_full_rescan*` in `crates/mcm`, and
+//! `tests/golden/mcm_plans.txt` pins the plans themselves.
 //!
 //! The groups come from each design's Horner graph at the unfolding
 //! `asic::optimize` picks at Table 4's 3.3 V and at the e-graph suite's
 //! 5.0 V, where the largest reach 94–103 constants. Under both recodings
-//! that is several seconds of reference-loop work, so the test is ignored
-//! by default and run in release:
+//! that is seconds of reference-loop work, so the test is ignored by
+//! default and run in release:
 //!
 //! ```sh
 //! cargo test --release -p lintra --test mcm_differential -- --include-ignored
 //! ```
 
-use lintra::dfg::NodeKind;
-use lintra::mcm::{quantize, synthesize, synthesize_reference, Recoding};
+use lintra::mcm::{synthesize, synthesize_reference, Recoding};
 use lintra::opt::{asic, TechConfig};
 use lintra::suite::suite;
 use lintra::transform::horner::HornerForm;
-use std::collections::{BTreeSet, HashMap};
+use lintra::transform::mcm_pass::constant_groups;
+use std::collections::BTreeSet;
 
 /// Every distinct group of quantized `MulConst` constants (one group per
-/// driven variable, sorted and deduplicated, as the MCM pass builds it)
-/// in the suite's Horner graphs at both initial supplies.
+/// driven variable, as the MCM pass builds it) in the suite's Horner
+/// graphs at both initial supplies.
 fn suite_groups() -> BTreeSet<Vec<i64>> {
     let cfg = asic::AsicConfig::default();
     let mut groups = BTreeSet::new();
@@ -33,20 +41,7 @@ fn suite_groups() -> BTreeSet<Vec<i64>> {
                 .unwrap()
                 .to_dfg()
                 .unwrap();
-            let mut by_pred: HashMap<usize, Vec<i64>> = HashMap::new();
-            for (_, n) in g.iter() {
-                if let NodeKind::MulConst(c) = n.kind {
-                    by_pred
-                        .entry(n.preds[0].0)
-                        .or_default()
-                        .push(quantize(c, cfg.frac_bits));
-                }
-            }
-            for mut consts in by_pred.into_values() {
-                consts.sort_unstable();
-                consts.dedup();
-                groups.insert(consts);
-            }
+            groups.extend(constant_groups(&g, cfg.frac_bits).into_values());
         }
     }
     groups
