@@ -976,7 +976,7 @@ fn cmd_sim(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 /// `sim --shards`: the sharded-router simulation — M replicated shard
-/// groups behind a deterministic model of the `route` front end.
+/// groups behind the router core `route` runs, under virtual time.
 fn cmd_sim_shards(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use lintra_sim::{run_shard_sim, RouterSimBug, ShardScenario, ShardSimConfig};
 

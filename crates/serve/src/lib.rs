@@ -82,8 +82,8 @@ pub use replicate::{
     store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role, StatusView,
 };
 pub use router::{
-    fnv1a64, routing_key, start_router, LatencyTracker, RetryBudget, RouterConfig, RouterHandle,
-    ShardRing,
+    fnv1a64, routing_key, start_router, LatencyTracker, RetryBudget, RouterConfig, RouterCore,
+    RouterHandle, ShardRing,
 };
 pub use server::{start, RecoveryReport, RoleInfo, ServerConfig, ServerHandle, ServerStats};
 pub use transport::{

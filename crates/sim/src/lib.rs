@@ -37,13 +37,12 @@
 //! regression seed in `tests/sim.rs` catches it every time.
 //!
 //! A third layer, [`run_shard_sim`], runs on the same event loop: M
-//! groups of replication cores behind a deterministic model of
-//! the `lintra route` front end, built on the real
-//! [`ShardRing`](lintra_serve::ShardRing) /
-//! [`RetryBudget`](lintra_serve::RetryBudget) arithmetic, with its own
-//! invariants (partial degradation, bounded retry volume, no double
-//! execution, re-convergence) and its own injectable bug
-//! ([`RouterSimBug::UnboundedRetries`]).
+//! groups of replication cores behind the router core `lintra route`
+//! ships ([`lintra_serve::RouterCore`]), driven under virtual time, with
+//! its own invariants (partial degradation, bounded retry volume, no
+//! double execution, re-convergence) and its own injectable bug
+//! ([`RouterSimBug::UnboundedRetries`], a configuration of the real
+//! core).
 
 pub mod vclock;
 

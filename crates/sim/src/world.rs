@@ -4,7 +4,7 @@
 //! and an epoch file kept in memory — through a seeded network:
 //! partitions, loss, duplication and jitter, crashes and restarts,
 //! per-node clock skew.
-//! Each harness adds its own actors (clients, a router model) through
+//! Each harness adds its own actors (clients, the router core's driver) through
 //! [`Actors`], and its own invariants on top of the node-level ones
 //! checked here after every event:
 //!
