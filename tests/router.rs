@@ -118,6 +118,16 @@ fn dead_endpoint() -> String {
     addr
 }
 
+/// An endpoint that takes connections into its backlog but never
+/// answers: every forward to it waits out the router's request timeout.
+/// Keep the listener alive for as long as the endpoint should hang.
+#[allow(clippy::expect_used)] // test helper; a failure should abort the test
+fn hung_endpoint() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    (listener, addr)
+}
+
 #[test]
 fn keyed_requests_route_to_both_shard_groups_and_forward_verbatim() {
     let s0 = shard_server();
@@ -294,6 +304,78 @@ fn a_dead_shard_group_degrades_only_its_own_keys() {
 
     router.shutdown();
     live.shutdown();
+}
+
+#[test]
+fn a_hung_shards_walks_never_delay_another_connections_reply() {
+    let (s0, s1) = (shard_server(), shard_server());
+    let (_hung0, h0) = hung_endpoint();
+    let (_hung1, h1) = hung_endpoint();
+    let router = start_router(RouterConfig {
+        request_timeout: Duration::from_millis(500),
+        // Never opens, so every request for the hung shard walks it.
+        breaker: BreakerConfig {
+            threshold: u32::MAX,
+            cooldown: Duration::from_millis(400),
+        },
+        ..router_over(vec![
+            vec![s0.addr().to_string(), s1.addr().to_string()],
+            vec![h0, h1],
+        ])
+    })
+    .expect("router starts");
+    let addr = router.addr().to_string();
+    let ring = ShardRing::new(2, 16);
+
+    // Unkeyed requests for the hung shard: each walks both endpoints
+    // (500 ms a forward) and re-walks twice after a backoff.
+    let hung: Vec<_> = keys_for_group(&ring, 1, 3, "hung")
+        .into_iter()
+        .map(|id| {
+            let addr = addr.clone();
+            let line = WireRequest::new(id, WireOp::Ping).render_line();
+            std::thread::spawn(move || raw_line(&addr, &line))
+        })
+        .collect();
+
+    // Meanwhile one connection sends keyed requests for the healthy
+    // replicated shard back to back. Its thread waits on each reply
+    // while the hung shard's retries come due, and must never run one.
+    let mut stream = TcpStream::connect(&addr).expect("connect to router");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (mut answered, mut slowest, mut i) = (0u32, Duration::ZERO, 0u64);
+    while !hung.iter().all(std::thread::JoinHandle::is_finished) {
+        i += 1;
+        let key = format!("live-{i}");
+        if ring.shard_of(&key) != Some(0) {
+            continue;
+        }
+        let started = Instant::now();
+        let line = keyed_ping(&key).render_line();
+        stream.write_all(line.as_bytes()).expect("write");
+        let mut out = String::new();
+        reader.read_line(&mut out).expect("router answers");
+        slowest = slowest.max(started.elapsed());
+        let resp = WireResponse::parse(&out).expect("response parses");
+        assert!(resp.outcome.is_ok(), "{key}: {resp:?}");
+        answered += 1;
+    }
+    assert!(answered > 0);
+    assert!(
+        slowest < Duration::from_millis(400),
+        "a healthy-shard reply waited {slowest:?}, as long as a forward to the hung shard"
+    );
+    for t in hung {
+        let resp = WireResponse::parse(&t.join().expect("joins")).expect("response parses");
+        let failure = resp.outcome.expect_err("the hung shard cannot answer");
+        assert_eq!(failure.code, "RES-SHARD-DOWN");
+    }
+    let (_requests, _forwarded, retries, _shed, _down, _hedges, _wins) = router.stats();
+    assert_eq!(retries, 6, "each hung-shard request re-walked twice");
+
+    router.shutdown();
+    s0.shutdown();
+    s1.shutdown();
 }
 
 #[test]
