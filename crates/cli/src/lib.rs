@@ -644,28 +644,15 @@ fn cmd_route(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 /// running router — the runbook's first stop during an incident.
 fn cmd_cluster_status(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     use lintra_bench::json::Json;
-    use lintra_serve::{read_line, SystemClock, TcpTransport, Transport};
+    use lintra_serve::{round_trip, SystemClock, TcpTransport};
 
     let addr = flag_value(args, "--addr").ok_or_else(|| {
         usage("cluster-status needs --addr host:port of a running `lintra route`")
     })?;
     let timeout = Duration::from_millis(parse_millis(args, "--timeout-ms")?.unwrap_or(2000));
-    let clock = SystemClock::new();
-    let mut conn = TcpTransport
-        .connect(addr, timeout)
-        .map_err(|e| CliError::Io(std::io::Error::other(e.to_string())))?;
-    conn.send(b"{\"router\":\"status\"}\n")
-        .map_err(|e| CliError::Io(std::io::Error::other(e.to_string())))?;
-    let mut buf = Vec::new();
-    let line = read_line(
-        conn.as_mut(),
-        &mut buf,
-        timeout,
-        Duration::from_millis(20),
-        &clock,
-    )
-    .map_err(|e| CliError::Io(std::io::Error::other(e.to_string())))?
-    .ok_or_else(|| CliError::Io(std::io::Error::other("router closed without answering")))?;
+    let (query, clock) = ("{\"router\":\"status\"}", SystemClock::new());
+    let line = round_trip(&TcpTransport, &clock, addr, query, timeout, timeout)
+        .map_err(|e| CliError::Io(std::io::Error::other(e)))?;
     let doc = Json::parse(&line)
         .map_err(|e| CliError::Io(std::io::Error::other(format!("unparseable status: {e}"))))?;
     let num = |key: &str| doc.get(key).and_then(Json::as_num).unwrap_or(0.0) as u64;

@@ -12,19 +12,16 @@
 //! tolerance-equal. The differential and property tests assert `==` on
 //! the produced systems, never `approx_eq`.
 //!
-//! Cache-key discipline: a [`SweepCache`]/[`HornerCache`] is keyed by
-//! *owning* its [`StateSpace`] (one cache per design), so there is no hash
-//! collision to reason about. [`ExpmMemo`] is keyed by the bit pattern of
-//! the input matrix (shape + `f64::to_bits` of every entry) with a full
-//! stored-input equality check behind the hash, so a collision degrades to
-//! a miss, never to a wrong result.
+//! Cache-key discipline: a [`SweepCache`] is keyed by *owning* its
+//! [`StateSpace`] (one cache per design), so there is no hash collision
+//! to reason about.
 
 use lintra_linsys::{LinsysError, StateSpace, UnfoldedSystem};
-use lintra_matrix::{expm_with, ExpmWorkspace, Matrix, MatrixError};
+use lintra_matrix::Matrix;
 use lintra_transform::horner::HornerForm;
 
-/// Hit/miss counters for a cache. A "hit" is one matrix product (or one
-/// whole memoized `expm`) that was *not* recomputed thanks to the cache.
+/// Hit/miss counters for a cache. A "hit" is one matrix product that was
+/// *not* recomputed thanks to the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Products served from the cache.
@@ -325,23 +322,6 @@ impl SweepCache {
     }
 }
 
-/// Bit-pattern hash of a matrix (FNV-1a over shape and entry bits).
-fn matrix_bit_hash(m: &Matrix) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(m.rows() as u64);
-    mix(m.cols() as u64);
-    for &v in m.as_slice() {
-        mix(v.to_bits());
-    }
-    h
-}
-
 /// Exact (bit-level) matrix equality: shapes match and every entry has the
 /// same `f64` bit pattern.
 fn matrix_bits_eq(a: &Matrix, b: &Matrix) -> bool {
@@ -352,60 +332,10 @@ fn matrix_bits_eq(a: &Matrix, b: &Matrix) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Memoized [`expm`]: repeated exponentials of the same matrix (the suite
-/// re-discretizes the same plants for every strategy) are computed once.
-///
-/// Keys are the full bit pattern of the input; the stored input is
-/// re-compared on every hash match, so a hash collision costs a
-/// recomputation but can never return the wrong exponential.
-#[derive(Debug, Clone, Default)]
-pub struct ExpmMemo {
-    entries: Vec<(u64, Matrix, Matrix)>,
-    /// Padé/squaring buffers reused across misses: a memo already
-    /// implies repeated exponentials, so the workspace stays warm.
-    ws: ExpmWorkspace,
-    stats: CacheStats,
-}
-
-impl ExpmMemo {
-    /// An empty memo.
-    pub fn new() -> ExpmMemo {
-        ExpmMemo::default()
-    }
-
-    /// Hit/miss counters (one unit = one `expm` call).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// `e^A`, served from the memo when this exact matrix was seen before.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`lintra_matrix::expm`] (errors are not memoized
-    /// — a failing input fails identically every time and stays cheap).
-    pub fn expm(&mut self, a: &Matrix) -> Result<Matrix, MatrixError> {
-        let h = matrix_bit_hash(a);
-        if let Some((_, _, e)) = self
-            .entries
-            .iter()
-            .find(|(eh, ea, _)| *eh == h && matrix_bits_eq(ea, a))
-        {
-            self.stats.hits += 1;
-            return Ok(e.clone());
-        }
-        let e = expm_with(a, &mut self.ws)?;
-        self.stats.misses += 1;
-        self.entries.push((h, a.clone(), e.clone()));
-        Ok(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lintra_linsys::unfold;
-    use lintra_matrix::expm;
 
     fn sys_mimo() -> StateSpace {
         StateSpace::new(
@@ -505,41 +435,5 @@ mod tests {
         cache.horner(8).unwrap();
         // All 9 powers and 9 C·A^k rows were already cached.
         assert_eq!(cache.stats().misses, before);
-    }
-
-    #[test]
-    fn expm_memo_returns_the_same_bits() {
-        let a = Matrix::from_rows(&[&[0.1, 0.3], &[-0.2, 0.05]]);
-        let mut memo = ExpmMemo::new();
-        let fresh = expm(&a).unwrap();
-        let first = memo.expm(&a).unwrap();
-        let second = memo.expm(&a).unwrap();
-        assert!(matrix_bits_eq(&first, &fresh));
-        assert!(matrix_bits_eq(&second, &fresh));
-        assert_eq!(memo.stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn expm_memo_distinguishes_near_identical_inputs() {
-        let a = Matrix::from_rows(&[&[0.1, 0.0], &[0.0, 0.2]]);
-        let mut b = a.clone();
-        b[(0, 0)] = 0.1 + 1e-16; // rounds to a different bit pattern? keep explicit:
-        let mut memo = ExpmMemo::new();
-        memo.expm(&a).unwrap();
-        if matrix_bits_eq(&a, &b) {
-            // Perturbation vanished in rounding; nothing to distinguish.
-            return;
-        }
-        memo.expm(&b).unwrap();
-        assert_eq!(memo.stats(), CacheStats { hits: 0, misses: 2 });
-    }
-
-    #[test]
-    fn expm_memo_propagates_errors_unmemoized() {
-        let mut memo = ExpmMemo::new();
-        let bad = Matrix::zeros(2, 3);
-        assert!(memo.expm(&bad).is_err());
-        assert!(memo.expm(&bad).is_err());
-        assert_eq!(memo.stats(), CacheStats { hits: 0, misses: 0 });
     }
 }

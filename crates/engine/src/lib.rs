@@ -5,8 +5,8 @@
 //! processor count `N`. This crate makes those sweeps fast twice over —
 //! concurrently, with a dependency-free work-stealing [`ThreadPool`]
 //! ([`pool`]), and incrementally, with caches ([`cache`]) that reuse the
-//! shared intermediates (`A^k`, `A^k·B`, `C·A^k`, `C·A^k·B`, `e^{AT}`,
-//! Horner precomputations) across sweep points — under one non-negotiable
+//! shared intermediates (`A^k`, `A^k·B`, `C·A^k`, `C·A^k·B`, Horner
+//! precomputations) across sweep points — under one non-negotiable
 //! contract: **results are bit-identical to the sequential from-scratch
 //! path**, asserted with `==` by the differential test layer.
 //!
@@ -28,7 +28,7 @@ pub mod pool;
 pub mod search;
 pub mod snapshot;
 
-pub use cache::{CacheStats, ExpmMemo, SweepCache};
+pub use cache::{CacheStats, SweepCache};
 pub use cancel::{CancelReason, CancelToken};
 pub use pool::{EngineError, SweepCtl, ThreadPool};
 pub use search::best_unfolding;

@@ -20,6 +20,8 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::server::lock_unpoisoned;
+
 /// Tuning for [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
@@ -66,14 +68,12 @@ impl CircuitBreaker {
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         // A panic while holding this one-word lock leaves no invariant to
         // protect; keep serving with the last-written state.
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_unpoisoned(&self.state)
     }
 
     /// Asks to run one request through the engine. `now` is the
-    /// caller's [`crate::Clock::now`] reading — time flows through the
-    /// clock seam so the simulator can drive the breaker virtually.
+    /// caller's [`crate::Clock::now`] reading, so a breaker inside a
+    /// sans-IO core runs under the simulator's virtual time too.
     ///
     /// # Errors
     ///

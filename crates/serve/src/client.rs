@@ -49,7 +49,7 @@ use lintra::ErrorClass;
 use lintra_bench::wire::{WireRequest, WireResponse};
 
 use crate::clock::{Clock, SystemClock};
-use crate::transport::{NetError, TcpTransport, Transport};
+use crate::transport::{round_trip, TcpTransport, Transport};
 
 /// Retry tuning; the default is three attempts with 50 ms → 2 s backoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,36 +317,10 @@ impl Client {
         req: &WireRequest,
         budget: Duration,
     ) -> Result<WireResponse, String> {
-        let mut conn = self
-            .transport
-            .connect(endpoint, self.connect_timeout)
-            .map_err(|e| e.to_string())?;
-        conn.send(req.render_line().as_bytes())
-            .map_err(|e| format!("sending request: {e}"))?;
-
-        // Read up to the newline under the overall response budget.
-        let deadline = self.clock.deadline(budget);
-        let mut line: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 1024];
-        while !line.contains(&b'\n') {
-            let left = deadline.saturating_sub(self.clock.now());
-            if left.is_zero() {
-                return Err(format!("no response within {} ms", budget.as_millis()));
-            }
-            match conn.recv(&mut chunk, left) {
-                Ok(n) => line.extend_from_slice(&chunk[..n]),
-                Err(NetError::Closed) => {
-                    return Err("connection closed before a response".to_string())
-                }
-                Err(NetError::Timeout) => {
-                    return Err(format!("no response within {} ms", budget.as_millis()))
-                }
-                Err(e) => return Err(format!("reading response: {e}")),
-            }
-        }
-        let text = String::from_utf8_lossy(&line);
-        let resp = WireResponse::parse(text.trim_end())
-            .map_err(|e| format!("unparseable response: {e}"))?;
+        let (transport, clock) = (self.transport.as_ref(), self.clock.as_ref());
+        let (line, connect) = (req.render_line(), self.connect_timeout);
+        let line = round_trip(transport, clock, endpoint, &line, connect, budget)?;
+        let resp = WireResponse::parse(&line).map_err(|e| format!("unparseable response: {e}"))?;
         if resp.id != req.id {
             return Err(format!(
                 "response id `{}` does not match request `{}`",

@@ -1,7 +1,10 @@
-//! The `Clock` seam: every point where the serve layer reads time or
-//! sleeps goes through this trait, so the same code runs against the
-//! real monotonic clock in production and against a virtual clock in
-//! the deterministic simulator (`lintra-sim`).
+//! The `Clock` seam. The server and the router each read time from one
+//! [`SystemClock`] held in their shared state, so every instant their
+//! sans-IO cores see has one origin; the cores themselves never read a
+//! clock, their drivers stamp each input with `now`. The
+//! [`crate::Client`] holds an `Arc<dyn Clock>`, which the deterministic
+//! simulator (`lintra-sim`) replaces with a virtual clock, so the real
+//! client runs under virtual time.
 //!
 //! Instants are represented as a [`Duration`] since an arbitrary epoch
 //! fixed at clock construction — the only operations the serve layer
@@ -15,7 +18,7 @@ use std::time::{Duration, Instant};
 
 /// A monotonic time source plus the ability to block on it.
 ///
-/// Production code holds an `Arc<dyn Clock>` ([`SystemClock`] by
+/// The [`crate::Client`] holds an `Arc<dyn Clock>` ([`SystemClock`] by
 /// default); the simulator substitutes a virtual clock whose `now`
 /// advances only when the event loop says so and whose `sleep` advances
 /// virtual time instead of blocking a thread.

@@ -78,8 +78,8 @@ pub use client::{Client, ClientError, RetryPolicy};
 pub use clock::{Clock, SystemClock};
 pub use journal::{Journal, JournalRecovery, RecordKind, ScanOutcome};
 pub use replicate::{
-    load_epoch_state, prefix_crc, promotion_epoch, query_status, query_status_via, status_query,
-    store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role, StatusView,
+    load_epoch_state, prefix_crc, promotion_epoch, query_status, status_query, store_epoch,
+    store_epoch_state, EpochState, ReplChaos, ReplMsg, Role, StatusView,
 };
 pub use router::{
     fnv1a64, routing_key, start_router, LatencyTracker, RetryBudget, RouterConfig, RouterCore,
@@ -87,5 +87,5 @@ pub use router::{
 };
 pub use server::{start, RecoveryReport, RoleInfo, ServerConfig, ServerHandle, ServerStats};
 pub use transport::{
-    read_line, Acceptor, Conn, NetError, TcpTransport, Transport, MAX_FRAME_BYTES,
+    read_line, round_trip, Conn, NetError, TcpTransport, Transport, MAX_FRAME_BYTES,
 };

@@ -125,7 +125,7 @@ use crate::journal::{payload_bytes, Journal, JournalRecord, RecordKind, SNAPSHOT
 use crate::protocol::{Core, Input, Output, Storage};
 use crate::server::{lock_unpoisoned, persist_snapshots, replay_response, Shared};
 use crate::signal;
-use crate::transport::{read_line, Conn, NetError, TcpTransport, Transport};
+use crate::transport::{read_line, round_trip, Conn, NetError, TcpTransport, Transport, POLL};
 
 /// File name of the persisted epoch inside the epoch directory.
 pub const EPOCH_FILE: &str = "epoch";
@@ -135,9 +135,6 @@ pub(crate) const PEER_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Connect budget for the follower link.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// How often blocked replication reads re-check for shutdown.
-const POLL: Duration = Duration::from_millis(20);
 
 /// What a replicated server currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,40 +488,26 @@ pub fn status_query() -> String {
     ReplMsg::Status.render_line()
 }
 
-/// One-shot status query against any replicated server over real TCP.
-/// `None` when the peer is unreachable, not replicated, or answers
-/// garbage. Library-internal paths use [`query_status_via`] so the
-/// transport and clock stay injectable.
+/// One-shot status query against any server over TCP. `None` when the
+/// peer is unreachable or answers garbage.
 pub fn query_status(addr: &str, timeout: Duration) -> Option<StatusView> {
-    query_status_via(&TcpTransport, &SystemClock::new(), addr, timeout)
-}
-
-/// [`query_status`] over an explicit [`Transport`]/[`Clock`] pair.
-pub fn query_status_via(
-    transport: &dyn Transport,
-    clock: &dyn Clock,
-    addr: &str,
-    timeout: Duration,
-) -> Option<StatusView> {
-    match exchange(transport, clock, addr, &ReplMsg::Status, timeout)? {
+    match exchange(&SystemClock::new(), addr, &ReplMsg::Status, timeout)? {
         ReplMsg::StatusReply(st) => Some(st),
         _ => None,
     }
 }
 
-/// One request/reply exchange with a peer over a fresh connection.
-fn exchange(
-    transport: &dyn Transport,
+/// One replication message and its reply over a fresh connection, each
+/// step within `timeout`.
+pub(crate) fn exchange(
     clock: &dyn Clock,
     addr: &str,
     msg: &ReplMsg,
     timeout: Duration,
 ) -> Option<ReplMsg> {
-    let mut conn = transport.connect(addr, timeout).ok()?;
-    conn.send(msg.render_line().as_bytes()).ok()?;
-    let mut buf = Vec::new();
-    let line = read_line(conn.as_mut(), &mut buf, timeout, POLL, clock).ok()??;
-    ReplMsg::parse(&line)
+    let line = msg.render_line();
+    let reply = round_trip(&TcpTransport, clock, addr, &line, timeout, timeout).ok()?;
+    ReplMsg::parse(&reply)
 }
 
 // --- the threaded driver --------------------------------------------------
@@ -643,9 +626,10 @@ impl Repl {
 
 /// Serves one follower stream on the connection that sent `hello`:
 /// writes what the core queues for it and feeds the acks back, until
-/// the link drops, the core ends the stream, or the server drains.
-pub(crate) fn serve_stream(shared: &Shared, repl: &Repl, mut conn: Box<dyn Conn>, hello: ReplMsg) {
-    let clock = shared.config.clock.as_ref();
+/// the link drops, the follower overruns [`crate::MAX_FRAME_BYTES`]
+/// without a newline, the core ends the stream, or the server drains.
+pub(crate) fn serve_stream(shared: &Shared, repl: &Repl, conn: &mut dyn Conn, hello: ReplMsg) {
+    let clock = &shared.clock;
     let ReplMsg::Hello { from, .. } = &hello else {
         return;
     };
@@ -687,17 +671,18 @@ pub(crate) fn serve_stream(shared: &Shared, repl: &Repl, mut conn: Box<dyn Conn>
         if !live || shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        let mut chunk = [0u8; 1024];
-        match conn.recv(&mut chunk, Duration::from_millis(1)) {
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(NetError::Timeout) => {}
-            Err(_) => break,
-        }
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            if let Some(msg @ ReplMsg::Ack { .. }) = ReplMsg::parse(&String::from_utf8_lossy(&line))
-            {
-                repl.drive(clock.now(), Input::Msg(key.clone(), msg));
+        // Wait a moment for the first ack, then take every buffered one.
+        let mut wait = Duration::from_millis(1);
+        loop {
+            match read_line(conn, &mut buf, wait, wait, clock) {
+                Ok(Some(line)) => {
+                    if let Some(msg @ ReplMsg::Ack { .. }) = ReplMsg::parse(&line) {
+                        repl.drive(clock.now(), Input::Msg(key.clone(), msg));
+                    }
+                    wait = Duration::ZERO;
+                }
+                Err(NetError::Timeout) => break,
+                Ok(None) | Err(_) => break 'stream,
             }
         }
         let due = repl
@@ -718,10 +703,7 @@ pub(crate) fn serve_stream(shared: &Shared, repl: &Repl, mut conn: Box<dyn Conn>
 /// exchange, and runs promotion replays.
 pub(crate) fn repl_loop(shared: &Arc<Shared>) {
     let Some(repl) = &shared.repl else { return };
-    let (clock, transport) = (
-        shared.config.clock.as_ref(),
-        shared.config.transport.as_ref(),
-    );
+    let clock = &shared.clock;
     let lag = shared.config.repl_chaos.and_then(|c| c.lag);
     let mut link: Option<(String, Box<dyn Conn>)> = None;
     let mut buf = Vec::new();
@@ -784,7 +766,7 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
             let input = match out {
                 Output::Connect(to, msg) => {
                     buf.clear();
-                    link = transport
+                    link = TcpTransport
                         .connect(&to, CONNECT_TIMEOUT)
                         .ok()
                         .and_then(|mut conn| {
@@ -814,12 +796,10 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
                     }
                     None
                 }
-                Output::Query(to, msg) => {
-                    Some(match exchange(transport, clock, &to, &msg, PEER_TIMEOUT) {
-                        Some(msg) => Input::Msg(to, msg),
-                        None => Input::Closed(to),
-                    })
-                }
+                Output::Query(to, msg) => Some(match exchange(clock, &to, &msg, PEER_TIMEOUT) {
+                    Some(msg) => Input::Msg(to, msg),
+                    None => Input::Closed(to),
+                }),
                 Output::Execute { rid, line, .. } if !signal::shutdown_requested() => {
                     let resp = replay_response(shared, &line);
                     shared.stats.replayed.fetch_add(1, Ordering::SeqCst);

@@ -95,15 +95,15 @@ use crate::journal::{Journal, SNAPSHOT_DIR};
 use crate::protocol::{Core, CoreConfig, Input, Output};
 use crate::replicate::{self, Repl, ReplChaos, ReplMsg, StatusView};
 use crate::signal;
-use crate::transport::{Acceptor, Conn, NetError, TcpTransport, Transport};
-
-/// How often blocked reads and the accept loop re-check the drain flag.
-const POLL: Duration = Duration::from_millis(20);
+use crate::transport::{accept_loop, serve_connection, Conn, Listener};
 
 /// The fault names a chaos server honors.
 const KNOWN_FAULTS: [&str; 4] = ["slow-worker", "slow-sweep", "worker-panic", "conn-drop"];
 
-/// Server tuning; [`ServerConfig::default`] is production-shaped.
+/// Server tuning; [`ServerConfig::default`] is production-shaped. The
+/// server serves TCP and reads time from a [`SystemClock`] of its own:
+/// the simulator drives its replication core ([`crate::protocol`])
+/// directly, so nothing here substitutes the network or the clock.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port `0` to let the OS pick (see
@@ -156,12 +156,6 @@ pub struct ServerConfig {
     pub heartbeat: Duration,
     /// Deterministic replication-fault injection (tests only).
     pub repl_chaos: Option<ReplChaos>,
-    /// Time source: every `now`/`sleep`/deadline in the server goes
-    /// through this seam so the simulator can substitute virtual time.
-    pub clock: Arc<dyn Clock>,
-    /// Network: every connect/accept/read/write goes through this seam
-    /// so the simulator can substitute an in-memory network.
-    pub transport: Arc<dyn Transport>,
 }
 
 impl Default for ServerConfig {
@@ -184,8 +178,6 @@ impl Default for ServerConfig {
             failover_grace: Duration::from_secs(2),
             heartbeat: Duration::from_millis(250),
             repl_chaos: None,
-            clock: Arc::new(SystemClock::new()),
-            transport: Arc::new(TcpTransport),
         }
     }
 }
@@ -240,6 +232,9 @@ pub struct RecoveryReport {
 
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
+    /// The server's one time base: every instant its core and breaker
+    /// see is read here.
+    pub(crate) clock: SystemClock,
     pool: ThreadPool,
     breaker: CircuitBreaker,
     inflight: AtomicUsize,
@@ -284,7 +279,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     recovery: Option<RecoveryReport>,
     repl_threads: Vec<JoinHandle<()>>,
 }
@@ -357,21 +351,15 @@ impl ServerHandle {
     /// response, join all threads. Returns the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
         // Wake any idle follower streams so they observe the drain.
         if let Some(repl) = &self.shared.repl {
             repl.notify();
         }
-        for h in std::mem::take(&mut self.repl_threads) {
+        // The accept loop returns once every connection thread is done.
+        if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles = {
-            let mut conns = lock_unpoisoned(&self.conns);
-            std::mem::take(&mut *conns)
-        };
-        for h in handles {
+        for h in std::mem::take(&mut self.repl_threads) {
             let _ = h.join();
         }
         // Checkpoint the warm caches so the next start resumes them.
@@ -472,20 +460,9 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     let is_follower = config.replica_of.is_some();
     let timer_thread = is_follower || !config.peers.is_empty();
 
-    let listener = config
-        .transport
-        .bind(config.addr.as_str())
-        .map_err(|e| LintraError::new(ErrorClass::Io, "IO-FAILURE", e.to_string()))?;
-    let addr: SocketAddr = listener.local_addr().parse().map_err(|_| {
-        LintraError::new(
-            ErrorClass::Io,
-            "IO-FAILURE",
-            format!(
-                "transport reported an unparseable address {}",
-                listener.local_addr()
-            ),
-        )
-    })?;
+    let listener = Listener::bind(&config.addr)?;
+    let addr = listener.addr;
+    let clock = SystemClock::new();
 
     let mut boot = Vec::new();
     let repl = durable.map(|(journal, records, state, epoch_path)| {
@@ -496,10 +473,10 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             heartbeat: config.heartbeat,
             grace: config.failover_grace,
             peer_timeout: replicate::PEER_TIMEOUT,
-            nonce: process_nonce(&epoch_path, config.clock.as_ref()),
+            nonce: process_nonce(&epoch_path, &clock),
             source: config.journal_rotate_bytes.is_none(),
         };
-        let (core, outs) = Core::new(cfg, config.clock.now(), records, state);
+        let (core, outs) = Core::new(cfg, clock.now(), records, state);
         for out in outs {
             match out {
                 // An explicit --replica-of rejoin clears a persisted
@@ -523,6 +500,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     let shared = Arc::new(Shared {
         breaker: CircuitBreaker::new(config.breaker),
         config,
+        clock,
         pool,
         inflight: AtomicUsize::new(0),
         draining: AtomicBool::new(false),
@@ -547,7 +525,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
                 break;
             }
             let resp = replay_response(&shared, &line);
-            repl.drive(shared.config.clock.now(), Input::Settle { rid, resp });
+            repl.drive(shared.clock.now(), Input::Settle { rid, resp });
             shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
             replayed += 1;
         }
@@ -556,12 +534,13 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         report.replayed = replayed;
     }
 
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
     let accept = {
         let shared = Arc::clone(&shared);
-        let conns = Arc::clone(&conns);
-        thread::spawn(move || accept_loop(&shared, listener, &conns))
+        thread::spawn(move || {
+            let sh = Arc::clone(&shared);
+            let serve = move |conn| connection(&sh, conn);
+            accept_loop(listener, &shared.draining, &shared.clock, serve);
+        })
     };
 
     let mut repl_threads = Vec::new();
@@ -578,7 +557,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         addr,
         shared,
         accept: Some(accept),
-        conns,
         recovery,
         repl_threads,
     })
@@ -664,37 +642,6 @@ pub(crate) fn persist_snapshots(shared: &Arc<Shared>) {
     }
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    mut listener: Box<dyn Acceptor>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(conn)) => {
-                shared.stats.connections.fetch_add(1, Ordering::SeqCst);
-                let sh = Arc::clone(shared);
-                let handle = thread::spawn(move || connection_loop(&sh, conn));
-                let mut guard = lock_unpoisoned(conns);
-                // Reap finished connection threads so a long-lived server
-                // does not accumulate handles without bound.
-                let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut *guard)
-                    .into_iter()
-                    .partition(JoinHandle::is_finished);
-                *guard = live;
-                guard.push(handle);
-                drop(guard);
-                for h in done {
-                    let _ = h.join();
-                }
-            }
-            // Nothing to accept, or a transient listener error — either
-            // way, back off one poll tick and re-check drain.
-            Ok(None) | Err(_) => shared.config.clock.sleep(POLL),
-        }
-    }
-}
-
 /// What to do with one request line.
 enum LineOutcome {
     Respond(WireResponse),
@@ -702,113 +649,48 @@ enum LineOutcome {
     Drop,
 }
 
-fn connection_loop(shared: &Arc<Shared>, mut conn: Box<dyn Conn>) {
-    let clock = shared.config.clock.as_ref();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // Slow-loris guard: the moment a partial frame starts accumulating,
-    // the sender is on the clock. A connection holding an unfinished
-    // line past the default deadline is answered `RES-DEADLINE` and
-    // closed, so it cannot pin this handler thread indefinitely. Idle
-    // connections (empty buffer) stay open.
-    let mut partial_since: Option<Duration> = None;
-    loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            let line = line.trim_end();
-            // Replication messages share the listener with client
-            // traffic; a `"repl"`-keyed line never reaches handle_line.
-            // Status is answered even without replication configured —
-            // health probers (the sharded router's, an operator's) must
-            // be able to ask a standalone server who it is, and the
-            // reply's `stateless` role is how they learn it serves.
-            if let Some(msg) = ReplMsg::parse(line) {
-                match (msg, &shared.repl) {
-                    (ReplMsg::Status, repl) => {
-                        let reply = match repl {
-                            Some(repl) => repl.lock().core.status(),
-                            None => stateless_status(),
-                        };
-                        if conn.send(reply.render_line().as_bytes()).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    (hello @ ReplMsg::Hello { .. }, Some(repl)) => {
-                        // The connection becomes a follower stream.
-                        replicate::serve_stream(shared, repl, conn, hello);
-                        return;
-                    }
-                    // Anything else arriving cold — or a follower
-                    // handshake aimed at an unreplicated server — is a
-                    // protocol violation: close.
-                    _ => return,
-                }
+/// Serves one client connection; a frame either guard refuses counts as
+/// a failed request.
+fn connection(shared: &Arc<Shared>, mut conn: Box<dyn Conn>) {
+    shared.stats.connections.fetch_add(1, Ordering::SeqCst);
+    let (clock, draining) = (&shared.clock, &shared.draining);
+    let deadline = shared.config.default_deadline;
+    let answer = |conn: &mut dyn Conn, line: &str| answer_line(shared, conn, line);
+    if serve_connection(conn.as_mut(), clock, draining, deadline, answer) {
+        shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers one line on `conn`; `false` closes the connection.
+fn answer_line(shared: &Arc<Shared>, conn: &mut dyn Conn, line: &str) -> bool {
+    // Replication messages share the listener with client traffic; a
+    // `"repl"`-keyed line never reaches handle_line. Status is answered
+    // even without replication configured — health probers (the sharded
+    // router's, an operator's) must be able to ask a standalone server
+    // who it is, and the reply's `stateless` role is how they learn it
+    // serves.
+    if let Some(msg) = ReplMsg::parse(line) {
+        return match (msg, &shared.repl) {
+            (ReplMsg::Status, repl) => {
+                let reply = match repl {
+                    Some(repl) => repl.lock().core.status(),
+                    None => stateless_status(),
+                };
+                conn.send(reply.render_line().as_bytes()).is_ok()
             }
-            match handle_line(shared, line) {
-                LineOutcome::Drop => return,
-                LineOutcome::Respond(resp) => {
-                    if conn.send(resp.render_line().as_bytes()).is_err() {
-                        return;
-                    }
-                }
+            (hello @ ReplMsg::Hello { .. }, Some(repl)) => {
+                // The connection becomes a follower stream.
+                replicate::serve_stream(shared, repl, conn, hello);
+                false
             }
-        }
-        if shared.draining.load(Ordering::SeqCst) {
-            // Idle (or fully-answered) connection during a drain: close.
-            // In-flight requests never reach here — they are executing
-            // inside handle_line above and flush their response first.
-            return;
-        }
-        // Frame-size guard, the slow loris's fast sibling: a sender that
-        // streams past MAX_FRAME_BYTES without ever producing a newline
-        // is answered VAL-FRAME-TOO-LARGE and closed before its frame
-        // can grow the buffer without bound.
-        if buf.len() > crate::transport::MAX_FRAME_BYTES {
-            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-            let resp = WireResponse::err(
-                "",
-                WireFailure {
-                    class: ErrorClass::Validation,
-                    code: "VAL-FRAME-TOO-LARGE".to_string(),
-                    message: format!(
-                        "request frame exceeds {} bytes without a newline; closing the connection",
-                        crate::transport::MAX_FRAME_BYTES
-                    ),
-                },
-            );
-            let _ = conn.send(resp.render_line().as_bytes());
-            return;
-        }
-        match (buf.is_empty(), partial_since) {
-            (true, _) => partial_since = None,
-            (false, None) => partial_since = Some(clock.now()),
-            (false, Some(since)) => {
-                if clock.now().saturating_sub(since) > shared.config.default_deadline {
-                    let resp = WireResponse::err(
-                        "",
-                        WireFailure {
-                            class: ErrorClass::Resource,
-                            code: "RES-DEADLINE".to_string(),
-                            message: format!(
-                                "request frame incomplete after {} ms; closing the connection",
-                                shared.config.default_deadline.as_millis()
-                            ),
-                        },
-                    );
-                    let _ = conn.send(resp.render_line().as_bytes());
-                    return;
-                }
-            }
-        }
-        match conn.recv(&mut chunk, POLL) {
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(NetError::Timeout) => {}
-            // EOF — client gone (possibly mid-line; drop the partial) —
-            // or a torn link: either way the conversation is over.
-            Err(_) => return,
-        }
+            // Anything else arriving cold — or a follower handshake aimed
+            // at an unreplicated server — is a protocol violation: close.
+            _ => false,
+        };
+    }
+    match handle_line(shared, line) {
+        LineOutcome::Drop => false,
+        LineOutcome::Respond(resp) => conn.send(resp.render_line().as_bytes()).is_ok(),
     }
 }
 
@@ -973,7 +855,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
     };
 
     // Circuit breaker around the engine.
-    if let Err(retry_in) = shared.breaker.admit(shared.config.clock.now()) {
+    if let Err(retry_in) = shared.breaker.admit(shared.clock.now()) {
         shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
         return reject(
             &req.id,
@@ -999,7 +881,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
             rid: rid.to_string(),
             line: line.to_string(),
         };
-        for out in repl.drive(shared.config.clock.now(), admit) {
+        for out in repl.drive(shared.clock.now(), admit) {
             match out {
                 Output::Reply { resp, dedup, .. } => {
                     let counter = if resp.outcome.is_ok() {
@@ -1032,7 +914,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
     // (success, deadline, validation error) proves the engine itself is
     // healthy and resets the streak.
     if matches!(&outcome, Err(e) if e.code() == "RES-WORKER-PANIC") {
-        shared.breaker.record_failure(shared.config.clock.now());
+        shared.breaker.record_failure(shared.clock.now());
     } else {
         shared.breaker.record_success();
     }
@@ -1052,16 +934,17 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
             rid,
             resp: resp.clone(),
         };
-        repl.drive(shared.config.clock.now(), settle);
+        repl.drive(shared.clock.now(), settle);
     }
     LineOutcome::Respond(resp)
 }
 
 /// Injected misbehavior for one sweep point (chaos servers only).
-fn chaos_delay(fault: Option<&str>, point: usize, target: usize, cfg: &ServerConfig) {
+fn chaos_delay(fault: Option<&str>, point: usize, target: usize, shared: &Shared) {
+    let cfg = &shared.config;
     match fault {
-        Some("slow-sweep") => cfg.clock.sleep(cfg.chaos_point_delay),
-        Some("slow-worker") if point == target => cfg.clock.sleep(cfg.stall_budget * 3),
+        Some("slow-sweep") => shared.clock.sleep(cfg.chaos_point_delay),
+        Some("slow-worker") if point == target => shared.clock.sleep(cfg.stall_budget * 3),
         Some("worker-panic") if point == target => {
             panic!("injected worker panic (chaos fault, sweep point {point})")
         }
@@ -1125,7 +1008,7 @@ fn execute(
             let results = shared.pool.map_ctl(
                 vec![()],
                 |()| {
-                    chaos_delay(fault, 0, 0, cfg);
+                    chaos_delay(fault, 0, 0, shared);
                     match strategy {
                         Strategy::Single => single::optimize(&d.system, &tech).map(|r| {
                             Json::obj([
@@ -1214,7 +1097,7 @@ fn execute(
                     // mid-update. Cached unfolds are bit-identical to
                     // from-scratch `unfold` (the cache's contract), so
                     // rerouting the sweep changes no response bytes.
-                    chaos_delay(fault, i as usize, target, cfg);
+                    chaos_delay(fault, i as usize, target, shared);
                     let mut caches = lock_unpoisoned(&shared.caches);
                     let cache = caches
                         .entry(d.name.to_string())

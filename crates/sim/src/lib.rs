@@ -16,11 +16,11 @@
 //!
 //! Two layers:
 //!
-//! - [`vclock`]: simulated implementations of the `lintra-serve`
-//!   seams — [`SimClock`] (a virtual [`lintra_serve::Clock`] whose
-//!   `sleep` advances a counter) and [`ScriptedNet`] (an in-memory
-//!   [`lintra_serve::Transport`]). These run the *real*
-//!   [`lintra_serve::Client`] against scripted endpoints with zero real
+//! - [`vclock`]: simulated implementations of the two seams of
+//!   [`lintra_serve::Client`] — [`SimClock`] (a virtual
+//!   [`lintra_serve::Clock`] whose `sleep` advances a counter) and
+//!   [`ScriptedNet`] (an in-memory [`lintra_serve::Transport`]). These
+//!   run the *real* client against scripted endpoints with zero real
 //!   sleeping.
 //! - [`run_sim`]: the discrete-event cluster simulation. Every node is
 //!   the replication core the server ships

@@ -1,7 +1,7 @@
-//! Simulated implementations of the `lintra-serve` seams: a virtual
-//! [`Clock`] whose `sleep` advances a counter instead of blocking, and a
-//! scripted in-memory [`Transport`] that answers wire lines without a
-//! socket. Together they run the *real* [`lintra_serve::Client`] —
+//! Simulated implementations of the two seams of [`lintra_serve::Client`]:
+//! a virtual [`Clock`] whose `sleep` advances a counter instead of
+//! blocking, and a scripted in-memory [`Transport`] that answers wire
+//! lines without a socket. Together they run the *real* client —
 //! retries, backoff, endpoint walk and all — single-threadedly under
 //! virtual time: a test that would spend seconds sleeping finishes in
 //! microseconds and is bit-reproducible.
@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use lintra_serve::clock::Clock;
-use lintra_serve::transport::{Acceptor, Conn, NetError, Transport};
+use lintra_serve::transport::{Conn, NetError, Transport};
 
 /// Virtual monotonic time: a nanosecond counter that only moves when
 /// someone sleeps on it (or advances it explicitly). Shared between the
@@ -131,12 +131,6 @@ impl Transport for ScriptedNet {
             partial: Vec::new(),
             closed_at: None,
         }))
-    }
-
-    fn bind(&self, _addr: &str) -> Result<Box<dyn Acceptor>, NetError> {
-        Err(NetError::Failed(
-            "the scripted net drives clients only; it does not bind listeners".to_string(),
-        ))
     }
 }
 

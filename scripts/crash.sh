@@ -72,8 +72,12 @@ wait "$SERVER_PID" 2>/dev/null || true
 wait "$REQ_PID" 2>/dev/null || true
 SERVER_PID=""
 echo "killed -9 mid-sweep; journal left behind:"
-"$LINTRA" recover "$DIR" | sed 's/^/  /'
-"$LINTRA" recover "$DIR" | grep -q 'incomplete: crash-job-1' || {
+# Capture once and grep the capture: piping `recover` into `grep -q`
+# under pipefail fails when grep exits at the match before recover has
+# finished writing.
+RECOVERED=$("$LINTRA" recover "$DIR")
+sed 's/^/  /' <<<"$RECOVERED"
+grep -q 'incomplete: crash-job-1' <<<"$RECOVERED" || {
     echo "crash: FAIL — the admitted request is not in the journal" >&2
     exit 1
 }

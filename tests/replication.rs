@@ -18,7 +18,7 @@
 
 #![allow(clippy::expect_used)] // tests: a failed precondition should abort loudly
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -27,7 +27,8 @@ use lintra_bench::wire::{WireOp, WireRequest, WireResponse};
 use lintra_serve::journal::{payload_bytes, JOURNAL_FILE};
 use lintra_serve::replicate::store_epoch;
 use lintra_serve::{
-    load_epoch_state, query_status, start, Client, RecordKind, ReplChaos, ReplMsg, ServerConfig,
+    load_epoch_state, prefix_crc, query_status, start, Client, RecordKind, ReplChaos, ReplMsg,
+    ServerConfig, MAX_FRAME_BYTES,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -835,4 +836,61 @@ fn corrupt_stream_records_are_refused_never_appended() {
     drop(conn);
     follower.shutdown();
     let _ = std::fs::remove_dir_all(&fdir);
+}
+
+#[test]
+fn a_flooded_follower_stream_is_closed() {
+    // A follower stream is framed like every other connection: a peer
+    // that says a valid hello and then streams newline-free bytes past
+    // the frame cap is cut off, instead of growing the primary's buffer
+    // without bound.
+    let dir = temp_dir("flood-p");
+    let primary = start(repl_config(&dir)).expect("primary");
+    let mut stream = TcpStream::connect(primary.addr()).expect("connect");
+    let hello = ReplMsg::Hello {
+        epoch: 1,
+        have: 0,
+        pcrc: prefix_crc(&[]),
+        from: "flood".to_string(),
+    };
+    stream
+        .write_all(hello.render_line().as_bytes())
+        .expect("send hello");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut first = String::new();
+    reader.read_line(&mut first).expect("the stream is live");
+    assert!(
+        matches!(ReplMsg::parse(first.trim_end()), Some(ReplMsg::Hb { .. })),
+        "expected a heartbeat, got {first:?}"
+    );
+
+    let flood = std::thread::spawn(move || {
+        let junk = vec![b'x'; 64 * 1024];
+        let mut sent = 0usize;
+        while sent <= MAX_FRAME_BYTES + junk.len() {
+            if stream.write_all(&junk).is_err() {
+                break; // the primary already closed the stream
+            }
+            sent += junk.len();
+        }
+    });
+    let started = Instant::now();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match reader.read(&mut chunk) {
+            Ok(0) => break,
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            _ => assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "the flooded stream is still open after 30 s"
+            ),
+        }
+    }
+    flood.join().expect("flood thread");
+    assert_eq!(primary.role_info().expect("replicated").role, "primary");
+    primary.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

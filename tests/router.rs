@@ -6,7 +6,7 @@
 //! budgets under blackout, failover convergence — lives in the
 //! deterministic simulation: `tests/sim.rs` and `lintra sim --shards`.)
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -421,6 +421,45 @@ fn the_router_caps_newline_free_floods_with_val_frame_too_large() {
     let failure = resp.outcome.expect_err("oversized frame must be rejected");
     assert_eq!(failure.code, "VAL-FRAME-TOO-LARGE");
     assert_eq!(failure.class, ErrorClass::Validation);
+
+    router.shutdown();
+    live.shutdown();
+}
+
+#[test]
+fn the_router_cuts_off_a_slow_loris_with_res_deadline() {
+    let live = shard_server();
+    let router = start_router(RouterConfig {
+        request_timeout: Duration::from_millis(300),
+        ..router_over(vec![vec![live.addr().to_string()]])
+    })
+    .expect("router starts");
+
+    let mut stream = TcpStream::connect(router.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // Half a request line, then silence: a slow loris.
+    let full = WireRequest::new("loris", WireOp::Ping).render_line();
+    stream
+        .write_all(&full.as_bytes()[..full.len() / 2])
+        .expect("write partial frame");
+
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("router answers the stalled frame");
+    let resp = WireResponse::parse(&line).expect("response parses");
+    let failure = resp.outcome.expect_err("partial frame must be rejected");
+    assert_eq!(failure.code, "RES-DEADLINE");
+    assert_eq!(failure.class, ErrorClass::Resource);
+
+    // ... and the connection is closed, not half-open.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "connection stayed open: {rest:?}");
 
     router.shutdown();
     live.shutdown();
