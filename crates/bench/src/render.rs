@@ -6,7 +6,7 @@
 //! can no longer diverge from the committed golden files.
 
 use crate::{mean, median, EgraphRow, McmPlanRow, Table2Row, Table3Row, Table4Row};
-use lintra::engine::snapshot::crc32;
+use lintra::engine::crc32;
 use lintra::opt::single::UnfoldingOutcome;
 use std::fmt::Write as _;
 

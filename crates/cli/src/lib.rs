@@ -184,7 +184,7 @@ fn help(out: &mut impl Write) -> Result<(), CliError> {
          \x20       [--failover-grace-ms G] [--heartbeat-ms H]\n\
          \x20                               run the optimization service (drains on SIGTERM);\n\
          \x20                               --journal-dir makes it durable: write-ahead journal,\n\
-         \x20                               crash recovery, request_id dedup, cache snapshots;\n\
+         \x20                               crash recovery, request_id dedup;\n\
          \x20                               --replica-of makes it a follower that replicates the\n\
          \x20                               primary's journal and promotes itself on failover;\n\
          \x20                               --peers lets replicas arbitrate and fence stale epochs\n\
@@ -502,14 +502,11 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if let Some(rec) = server.recovery() {
         writeln!(
             out,
-            "recovered: {} answered, {} replayed, torn_tail={}, journal_quarantined={}, \
-             snapshots {} loaded / {} quarantined",
+            "recovered: {} answered, {} replayed, torn_tail={}, journal_quarantined={}",
             rec.answered,
             rec.replayed,
             rec.torn_tail,
-            rec.journal_quarantined.is_some(),
-            rec.snapshots_loaded,
-            rec.snapshots_quarantined
+            rec.journal_quarantined.is_some()
         )?;
     }
     // The port line is parsed by scripts (`--addr` port 0 binds an
@@ -765,9 +762,10 @@ fn cmd_request(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 }
 
 /// `lintra recover`: read-only inspection of a durability directory —
-/// what a durable server would find there, without starting one.
+/// what a durable server would find there (rotated segments, then the
+/// live journal), without starting one.
 fn cmd_recover(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use lintra_serve::journal::{scan, RecordKind, ScanOutcome, JOURNAL_FILE, SNAPSHOT_DIR};
+    use lintra_serve::journal::{fold_records, scan_dir, ScanOutcome, JOURNAL_FILE};
 
     let dir = positionals(args)
         .first()
@@ -778,79 +776,30 @@ fn cmd_recover(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     }
 
     let journal_path = dir.join(JOURNAL_FILE);
-    if journal_path.exists() {
-        let bytes = std::fs::read(&journal_path)?;
-        let (records, outcome) = scan(&bytes);
-        let mut settled: std::collections::HashMap<&str, RecordKind> =
-            std::collections::HashMap::new();
-        let mut admitted: Vec<&str> = Vec::new();
-        for r in &records {
-            match r.kind {
-                RecordKind::Admit => {
-                    if !settled.contains_key(r.rid.as_str()) && !admitted.contains(&r.rid.as_str())
-                    {
-                        admitted.push(&r.rid);
-                    }
-                }
-                kind => {
-                    admitted.retain(|rid| *rid != r.rid);
-                    settled.insert(&r.rid, kind);
-                }
-            }
-        }
-        let state = match &outcome {
-            ScanOutcome::Clean => "clean".to_string(),
-            ScanOutcome::TornTail { valid_len } => {
-                format!("torn tail (valid through byte {valid_len}; a restart truncates it)")
-            }
-            ScanOutcome::Corrupt { offset, detail } => {
-                format!("CORRUPT at byte {offset}: {detail} (a restart quarantines it)")
-            }
-        };
-        writeln!(out, "journal: {} records, {state}", records.len())?;
-        writeln!(
-            out,
-            "keys: {} settled, {} incomplete",
-            settled.len(),
-            admitted.len()
-        )?;
-        for rid in &admitted {
-            writeln!(out, "incomplete: {rid} (will replay on restart)")?;
-        }
-    } else {
+    let read = scan_dir(&dir)?;
+    if read.segments.is_empty() && !journal_path.exists() {
         writeln!(out, "journal: none at {}", journal_path.display())?;
+        return Ok(());
     }
-
-    let snap_dir = dir.join(SNAPSHOT_DIR);
-    if snap_dir.is_dir() {
-        let mut entries: Vec<_> = std::fs::read_dir(&snap_dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("snap"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            match lintra::engine::snapshot::load(&path) {
-                Ok(cache) => {
-                    let s = cache.stats();
-                    writeln!(
-                        out,
-                        "snapshot {name}: ok ({} cached products)",
-                        s.hits + s.misses
-                    )?;
-                }
-                Err(lintra::engine::SnapshotError::Corrupt { detail }) => {
-                    writeln!(out, "snapshot {name}: CORRUPT ({detail})")?;
-                }
-                Err(lintra::engine::SnapshotError::Io(e)) => return Err(CliError::Io(e)),
-            }
+    let (settled, incomplete) = fold_records(&read.records);
+    let state = match &read.outcome {
+        ScanOutcome::Clean => "clean".to_string(),
+        ScanOutcome::TornTail { valid_len } => {
+            format!("torn tail (valid through byte {valid_len}; a restart truncates it)")
         }
-    } else {
-        writeln!(out, "snapshots: none")?;
+        ScanOutcome::Corrupt { offset, detail } => {
+            format!("CORRUPT at byte {offset}: {detail} (a restart quarantines it)")
+        }
+    };
+    writeln!(out, "journal: {} records, {state}", read.records.len())?;
+    writeln!(
+        out,
+        "keys: {} settled, {} incomplete",
+        settled.len(),
+        incomplete.len()
+    )?;
+    for (rid, _) in &incomplete {
+        writeln!(out, "incomplete: {rid} (will replay on restart)")?;
     }
     Ok(())
 }
@@ -1369,11 +1318,52 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let out = run_ok(&["recover", dir.to_str().expect("utf8 path")]);
         assert!(out.contains("journal: none"), "{out}");
-        assert!(out.contains("snapshots: none"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
 
         assert!(usage_msg(&["recover"]).contains("durability directory"));
         assert!(usage_msg(&["recover", "/nonesuch-lintra-dir"]).contains("not a directory"));
+    }
+
+    #[test]
+    fn recover_reads_rotated_segments_like_a_restart() {
+        use lintra_serve::journal::{Journal, RecordKind, SEGMENT_PREFIX};
+
+        let dir = std::env::temp_dir().join(format!("lintra-cli-rotated-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            // A small cap rotates every few appends, so the open admit is
+            // compacted into a segment and carried through each rotation.
+            let (mut journal, _) = Journal::open_dir_with(&dir, Some(64)).expect("open");
+            journal
+                .append(RecordKind::Admit, "open-key", "req-open")
+                .expect("admit");
+            for i in 0..8 {
+                let rid = format!("k{i}");
+                journal
+                    .append(RecordKind::Admit, &rid, "req")
+                    .expect("admit");
+                journal
+                    .append(RecordKind::Done, &rid, "resp")
+                    .expect("done");
+            }
+        }
+        let rotated = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .filter_map(Result::ok)
+            .any(|e| e.file_name().to_string_lossy().starts_with(SEGMENT_PREFIX));
+        assert!(rotated, "the journal rotated into a segment");
+
+        let out = run_ok(&["recover", dir.to_str().expect("utf8 path")]);
+        assert!(out.contains("keys: 8 settled, 1 incomplete"), "{out}");
+        assert!(out.contains("incomplete: open-key"), "{out}");
+        // A restart finds the same keys.
+        let (_, rec) = Journal::open_dir(&dir).expect("reopen");
+        assert_eq!(rec.completed.len(), 8);
+        assert_eq!(
+            rec.incomplete,
+            vec![("open-key".to_string(), "req-open".to_string())]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -107,9 +107,10 @@ impl ErrorClass {
 
 /// Every stable diagnostic code the pipeline and the serve layer can
 /// emit, paired with its class. This is the contract the exit-code
-/// snapshot test pins: codes are append-only, classes never drift, and
-/// the code prefix always matches the class (`NUM-` numerical, `VAL-`
-/// validation, `RES-` resource, `CNV-` convergence, `IO-` io).
+/// snapshot test pins: a code leaves only with the behaviour that emits
+/// it, classes never drift, and the code prefix always matches the
+/// class (`NUM-` numerical, `VAL-` validation, `RES-` resource, `CNV-`
+/// convergence, `IO-` io).
 pub fn documented_codes() -> &'static [(&'static str, ErrorClass)] {
     &[
         ("NUM-NONFINITE", ErrorClass::Numerical),
@@ -148,7 +149,6 @@ pub fn documented_codes() -> &'static [(&'static str, ErrorClass)] {
         ("CNV-SIM-INVARIANT", ErrorClass::Convergence),
         ("IO-FAILURE", ErrorClass::Io),
         ("IO-JOURNAL-CORRUPT", ErrorClass::Io),
-        ("IO-SNAPSHOT-CORRUPT", ErrorClass::Io),
         ("IO-REPL-CORRUPT", ErrorClass::Io),
     ]
 }
@@ -410,22 +410,6 @@ impl From<EngineError> for LintraError {
             EngineError::InvalidJobs { .. } => (ErrorClass::Validation, "VAL-CONFIG"),
         };
         LintraError::wrap(class, code, e)
-    }
-}
-
-impl From<lintra_engine::SnapshotError> for LintraError {
-    fn from(e: lintra_engine::SnapshotError) -> Self {
-        // A snapshot that fails its checksum or invariants is quarantined
-        // by the caller; plain filesystem failures stay IO-FAILURE so
-        // scripts can tell "disk broken" from "file broken".
-        match &e {
-            lintra_engine::SnapshotError::Corrupt { .. } => {
-                LintraError::wrap(ErrorClass::Io, "IO-SNAPSHOT-CORRUPT", e)
-            }
-            lintra_engine::SnapshotError::Io(_) => {
-                LintraError::wrap(ErrorClass::Io, "IO-FAILURE", e)
-            }
-        }
     }
 }
 

@@ -113,93 +113,6 @@ impl SweepCache {
         &self.sys
     }
 
-    /// Internal state in serialization order, for the snapshot encoder.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (
-        &StateSpace,
-        f64,
-        &[Matrix],
-        &[Matrix],
-        &[Matrix],
-        &[Matrix],
-        CacheStats,
-    ) {
-        (
-            &self.sys,
-            self.rho,
-            &self.powers,
-            &self.ab,
-            &self.ca,
-            &self.cab,
-            self.stats,
-        )
-    }
-
-    /// Rebuilds a cache from decoded snapshot state, enforcing every
-    /// structural invariant [`SweepCache::new`] + incremental growth
-    /// would have established. Used only by the snapshot decoder — a
-    /// checksum-valid but structurally impossible file must still be
-    /// rejected as corrupt rather than poison later sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub(crate) fn from_snapshot_parts(
-        sys: StateSpace,
-        rho: f64,
-        powers: Vec<Matrix>,
-        ab: Vec<Matrix>,
-        ca: Vec<Matrix>,
-        cab: Vec<Matrix>,
-        stats: CacheStats,
-    ) -> Result<SweepCache, String> {
-        // The spectral radius is a pure function of the (already
-        // validated) system; recomputing it is cheap and pins the stored
-        // value bit-for-bit.
-        let fresh_rho = sys.spectral_radius();
-        if rho.to_bits() != fresh_rho.to_bits() {
-            return Err(format!(
-                "stored spectral radius {rho} != recomputed {fresh_rho}"
-            ));
-        }
-        let (p, q, r) = sys.dims();
-        match powers.first() {
-            Some(first) if matrix_bits_eq(first, &Matrix::identity(r)) => {}
-            _ => return Err("powers[0] must be the identity".to_string()),
-        }
-        for (what, ms, (rows, cols)) in [
-            ("powers", &powers, (r, r)),
-            ("ab", &ab, (r, p)),
-            ("ca", &ca, (q, r)),
-            ("cab", &cab, (q, p)),
-        ] {
-            if let Some(bad) = ms.iter().position(|m| m.shape() != (rows, cols)) {
-                return Err(format!(
-                    "{what}[{bad}] has shape {:?}, want {rows}x{cols}",
-                    { ms[bad].shape() }
-                ));
-            }
-        }
-        // Each chain is grown alongside the power chain and can never be
-        // longer than it.
-        for (what, len) in [("ab", ab.len()), ("ca", ca.len()), ("cab", cab.len())] {
-            if len > powers.len() {
-                return Err(format!("{what} chain ({len}) outgrew the power chain"));
-            }
-        }
-        Ok(SweepCache {
-            sys,
-            rho,
-            powers,
-            ab,
-            ca,
-            cab,
-            stats,
-        })
-    }
-
     /// Cached spectral-radius estimate of `A`.
     pub fn spectral_radius(&self) -> f64 {
         self.rho
@@ -320,16 +233,6 @@ impl SweepCache {
         self.stats.absorb(required, computed);
         HornerForm::from_parts(&self.sys, self.powers[n].clone(), self.ca[..n].to_vec())
     }
-}
-
-/// Exact (bit-level) matrix equality: shapes match and every entry has the
-/// same `f64` bit pattern.
-fn matrix_bits_eq(a: &Matrix, b: &Matrix) -> bool {
-    a.shape() == b.shape()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! [u32 len LE][u32 crc32 LE][payload: compact JSON, `len` bytes]
 //! ```
 //!
-//! `crc32` covers the payload bytes (the same IEEE polynomial the cache
-//! snapshots use, [`lintra::engine::snapshot::crc32`]). The payload is
-//! one of four record kinds keyed by the request's idempotency key:
+//! `crc32` covers the payload bytes (the IEEE polynomial,
+//! [`lintra::engine::crc32`]). The payload is one of four record kinds
+//! keyed by the request's idempotency key:
 //!
 //! * `admit` — the full request line, journaled before execution;
 //! * `done` — the full success response line; retries of this key are
@@ -40,10 +40,10 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use lintra::engine::snapshot::{crc32, quarantine};
+use lintra::engine::crc32;
 use lintra_bench::json::Json;
 
 /// File name of the write-ahead journal inside the durability directory.
@@ -53,9 +53,6 @@ pub const JOURNAL_FILE: &str = "journal.log";
 /// written whole (tmp + fsync + rename), so unlike the live log a
 /// damaged segment is always corruption, never a torn tail.
 pub const SEGMENT_PREFIX: &str = "journal.seg-";
-
-/// Directory name for cache snapshots inside the durability directory.
-pub const SNAPSHOT_DIR: &str = "snapshots";
 
 /// Ceiling on one record's payload, bytes. Journal payloads are request
 /// or response lines; anything larger than this is not one of ours, so
@@ -330,6 +327,76 @@ fn segment_paths(dir: &Path) -> Result<Vec<(u64, PathBuf)>, std::io::Error> {
     Ok(segs)
 }
 
+/// Every record a durability directory holds, as [`scan_dir`] read it.
+#[derive(Debug)]
+pub struct DirScan {
+    /// Rotated segments, sorted by index (replay order).
+    pub segments: Vec<(u64, PathBuf)>,
+    /// Records decoded before the first damage: every segment's, then
+    /// the live log's.
+    pub records: Vec<JournalRecord>,
+    /// How the read ended. A torn tail is always the live log's (its
+    /// offset counts into `journal.log`); a damaged segment is
+    /// [`ScanOutcome::Corrupt`] whatever its shape.
+    pub outcome: ScanOutcome,
+}
+
+/// Reads the rotated segments in index order, then the live log,
+/// stopping at the first damaged segment. Read-only: this is what a
+/// restart would replay before it truncates a torn tail or quarantines
+/// damage ([`Journal::open_dir_with`]), and what `lintra recover`
+/// reports.
+///
+/// # Errors
+///
+/// Only real I/O failures; damaged content is reported in
+/// [`DirScan::outcome`].
+pub fn scan_dir(dir: &Path) -> Result<DirScan, std::io::Error> {
+    let segments = segment_paths(dir)?;
+    let mut records = Vec::new();
+    for (_, seg_path) in &segments {
+        let (scanned, outcome) = scan(&std::fs::read(seg_path)?);
+        records.extend(scanned);
+        // Segments are written whole, so a tear in one is corruption too.
+        let (offset, detail) = match outcome {
+            ScanOutcome::Clean => continue,
+            ScanOutcome::TornTail { valid_len } => (valid_len, "truncated record".to_string()),
+            ScanOutcome::Corrupt { offset, detail } => (offset, detail),
+        };
+        let detail = format!("{}: {detail}", seg_path.display());
+        return Ok(DirScan {
+            segments,
+            records,
+            outcome: ScanOutcome::Corrupt { offset, detail },
+        });
+    }
+    let mut outcome = ScanOutcome::Clean;
+    let path = dir.join(JOURNAL_FILE);
+    if path.exists() {
+        let (scanned, live) = scan(&std::fs::read(&path)?);
+        records.extend(scanned);
+        outcome = live;
+    }
+    Ok(DirScan {
+        segments,
+        records,
+        outcome,
+    })
+}
+
+/// Moves a corrupt file aside to `<path>.quarantined-<n>` (first free
+/// `n`), preserving the evidence while the journal starts fresh.
+fn quarantine(path: &Path) -> Result<PathBuf, std::io::Error> {
+    for n in 0..u32::MAX {
+        let candidate = PathBuf::from(format!("{}.quarantined-{n}", path.display()));
+        if !candidate.exists() {
+            std::fs::rename(path, &candidate)?;
+            return Ok(candidate);
+        }
+    }
+    Err(std::io::Error::other("no free quarantine slot"))
+}
+
 /// What replaying the journal found at startup.
 #[derive(Debug, Default)]
 pub struct JournalRecovery {
@@ -413,53 +480,37 @@ impl Journal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let mut recovery = JournalRecovery::default();
-        let mut records = Vec::new();
-        let mut damaged = false;
-        let segments = segment_paths(dir)?;
-        for (_, seg_path) in &segments {
-            let mut bytes = Vec::new();
-            File::open(seg_path)?.read_to_end(&mut bytes)?;
-            let (scanned, outcome) = scan(&bytes);
-            if outcome == ScanOutcome::Clean {
-                records.extend(scanned);
-            } else {
-                damaged = true;
-                break;
+        let DirScan {
+            segments,
+            mut records,
+            outcome,
+        } = scan_dir(dir)?;
+        match outcome {
+            ScanOutcome::Clean => {}
+            ScanOutcome::TornTail { valid_len } => {
+                let f = OpenOptions::new().write(true).open(&path)?;
+                f.set_len(valid_len)?;
+                f.sync_all()?;
+                recovery.torn_tail = true;
             }
-        }
-        if !damaged && path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&path)?.read_to_end(&mut bytes)?;
-            let (scanned, outcome) = scan(&bytes);
-            match outcome {
-                ScanOutcome::Clean => records.extend(scanned),
-                ScanOutcome::TornTail { valid_len } => {
-                    let f = OpenOptions::new().write(true).open(&path)?;
-                    f.set_len(valid_len)?;
-                    f.sync_all()?;
-                    recovery.torn_tail = true;
-                    records.extend(scanned);
+            ScanOutcome::Corrupt { .. } => {
+                // The records decoded before the damage are NOT reused: a
+                // set of files that lied once is not trusted to have told
+                // the truth elsewhere. Quarantine every piece together.
+                records.clear();
+                let mut first = None;
+                for (_, seg_path) in &segments {
+                    if seg_path.exists() {
+                        let q = quarantine(seg_path)?;
+                        first.get_or_insert(q);
+                    }
                 }
-                ScanOutcome::Corrupt { .. } => damaged = true,
-            }
-        }
-        if damaged {
-            // The records decoded before the damage are NOT reused: a
-            // set of files that lied once is not trusted to have told
-            // the truth elsewhere. Quarantine every piece together.
-            records.clear();
-            let mut first = None;
-            for (_, seg_path) in &segments {
-                if seg_path.exists() {
-                    let q = quarantine(seg_path)?;
+                if path.exists() {
+                    let q = quarantine(&path)?;
                     first.get_or_insert(q);
                 }
+                recovery.quarantined = first;
             }
-            if path.exists() {
-                let q = quarantine(&path)?;
-                first.get_or_insert(q);
-            }
-            recovery.quarantined = first;
         }
         let (completed, admitted) = fold_records(&records);
         recovery.completed = completed;
@@ -517,27 +568,17 @@ impl Journal {
     /// byte is touched, so every intermediate state replays to the
     /// same fold.
     fn rotate(&mut self) -> Result<(), std::io::Error> {
-        let segments = segment_paths(&self.dir)?;
-        let mut records = Vec::new();
-        for (_, seg_path) in &segments {
-            let mut bytes = Vec::new();
-            File::open(seg_path)?.read_to_end(&mut bytes)?;
-            let (scanned, outcome) = scan(&bytes);
-            if outcome != ScanOutcome::Clean {
-                // Damage since open: refuse to compact what we cannot
-                // trust. The live log keeps growing; recovery's
-                // quarantine policy owns this case.
-                return Ok(());
-            }
-            records.extend(scanned);
-        }
-        let mut bytes = Vec::new();
-        File::open(&self.path)?.read_to_end(&mut bytes)?;
-        let (scanned, outcome) = scan(&bytes);
+        let DirScan {
+            segments,
+            records,
+            outcome,
+        } = scan_dir(&self.dir)?;
         if outcome != ScanOutcome::Clean {
+            // Damage since open: refuse to compact what we cannot
+            // trust. The live log keeps growing; recovery's
+            // quarantine policy owns this case.
             return Ok(());
         }
-        records.extend(scanned);
 
         let next_idx = segments.last().map_or(1, |(n, _)| n + 1);
         let mut payload = Vec::new();
@@ -862,6 +903,25 @@ mod tests {
             "a quarantined set contributes nothing"
         );
         assert!(seg_indices(&dir).is_empty(), "no segment may survive");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[allow(clippy::expect_used)]
+    fn quarantine_moves_the_file_aside() {
+        let dir = std::env::temp_dir().join(format!("lintra-journal-aside-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(JOURNAL_FILE);
+        std::fs::write(&path, b"garbage").expect("write");
+        let moved = quarantine(&path).expect("quarantine");
+        assert!(!path.exists());
+        assert!(moved.exists());
+        assert!(moved.to_string_lossy().contains(".quarantined-0"));
+        // A second corrupt file gets the next slot, not an overwrite.
+        std::fs::write(&path, b"garbage2").expect("write");
+        let moved2 = quarantine(&path).expect("second quarantine");
+        assert!(moved2.to_string_lossy().contains(".quarantined-1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

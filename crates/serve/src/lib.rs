@@ -15,14 +15,14 @@
 //! | engine | circuit breaker on consecutive panics | `RES-CIRCUIT-OPEN` |
 //! | lifecycle | graceful drain on shutdown/SIGTERM | `RES-SHUTDOWN` |
 //! | durability | write-ahead journal + idempotency keys | `RES-DUPLICATE-REQUEST` |
-//! | durability | quarantine of damaged journal / snapshots | `IO-JOURNAL-CORRUPT`, `IO-SNAPSHOT-CORRUPT` |
+//! | durability | quarantine of a damaged journal | `IO-JOURNAL-CORRUPT` |
 //! | replication | WAL shipping, epoch fencing, automatic failover | `RES-NOT-PRIMARY`, `RES-STALE-EPOCH`, `IO-REPL-CORRUPT` |
 //!
 //! With [`ServerConfig::journal_dir`] set, the server also survives
 //! `kill -9`: requests are fsynced to a write-ahead journal before
-//! execution, sweep caches are snapshotted crash-safely, and on restart
-//! orphaned requests replay while completed `request_id`s are answered
-//! from the journal byte-identically ([`server::RecoveryReport`]). See
+//! execution, and on restart orphaned requests replay while completed
+//! `request_id`s are answered from the journal byte-identically
+//! ([`server::RecoveryReport`]). Sweep caches stay in memory. See
 //! [`journal`] for the record format and damage taxonomy.
 //!
 //! A durable server can also *replicate*: a follower started with

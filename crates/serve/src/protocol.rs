@@ -23,7 +23,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
-use lintra::engine::snapshot::crc32;
+use lintra::engine::crc32;
 use lintra::matrix::rng::SplitMix64;
 use lintra::ErrorClass;
 use lintra_bench::wire::{WireFailure, WireResponse};
@@ -136,8 +136,8 @@ pub enum Output {
         /// True when a settled key was served from the journal.
         dedup: bool,
     },
-    /// This node took over this epoch; install cache snapshots before
-    /// the replays that follow.
+    /// This node took over this epoch; the replays that follow settle
+    /// under it.
     Promoted(u64),
     /// An operator-facing line (stderr in the server, the trace in the
     /// simulator).

@@ -7,10 +7,10 @@
 //! number* — to any follower that dials in. A **follower** (started with
 //! [`crate::ServerConfig::replica_of`]) connects to its primary, appends
 //! each shipped record to its own journal, **CRC-verifies and fsyncs it
-//! before acking**, keeps its dedup map and `SweepCache` snapshots warm
-//! by replaying acked records, and answers read-only `recover`-style
-//! status queries — while rejecting compute requests with
-//! `RES-NOT-PRIMARY`.
+//! before acking**, keeps its dedup map current from the acked records,
+//! and answers read-only `recover`-style status queries — while
+//! rejecting compute requests with `RES-NOT-PRIMARY`. It computes
+//! nothing until it promotes, so its sweep caches start cold then.
 //!
 //! Every decision below is made by the sans-IO core in
 //! [`crate::protocol`]; this module holds the wire codec, the epoch
@@ -79,8 +79,7 @@
 //! * otherwise **promotes**: bumps the epoch past every epoch it has
 //!   observed — to the next epoch *congruent to this node's slot* in
 //!   the sorted cluster membership (`peers` ∪ self), so two nodes can
-//!   never promote to the **same** epoch — persists it, installs cache
-//!   snapshots ([`lintra::engine::snapshot::install_dir`]), replays
+//!   never promote to the **same** epoch — persists it, replays
 //!   admitted-but-unsettled journal records, and only then serves as
 //!   primary. Retried `request_id`s settled before the failover are
 //!   answered from the replicated journal byte-identically, with zero
@@ -116,14 +115,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use lintra::engine::snapshot::{crc32, install_dir};
+use lintra::engine::crc32;
 use lintra_bench::json::Json;
-use lintra_bench::wire::{WireOp, WireRequest};
 
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{payload_bytes, Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
+use crate::journal::{payload_bytes, Journal, JournalRecord, RecordKind};
 use crate::protocol::{Core, Input, Output, Storage};
-use crate::server::{lock_unpoisoned, persist_snapshots, replay_response, Shared};
+use crate::server::{lock_unpoisoned, replay_response, Shared};
 use crate::signal;
 use crate::transport::{read_line, round_trip, Conn, NetError, TcpTransport, Transport, POLL};
 
@@ -711,7 +709,6 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
     while !shared.draining.load(Ordering::SeqCst) {
         let next = repl.lock().core.poll_timeout();
         let wait = next.map_or(POLL, |at| at.saturating_sub(clock.now()).min(POLL));
-        let mut warm = None;
         let input = match &mut link {
             Some((peer, conn)) => {
                 match read_line(
@@ -723,18 +720,7 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
                 ) {
                     Err(NetError::Timeout) => None,
                     Ok(Some(line)) => match ReplMsg::parse(&line) {
-                        Some(msg) => {
-                            if let ReplMsg::Rec {
-                                seq,
-                                kind: RecordKind::Admit,
-                                line,
-                                ..
-                            } = &msg
-                            {
-                                warm = Some((*seq, line.clone()));
-                            }
-                            Some(Input::Msg(peer.clone(), msg))
-                        }
+                        Some(msg) => Some(Input::Msg(peer.clone(), msg)),
                         None => Some(Input::Closed(peer.clone())),
                     },
                     _ => Some(Input::Closed(peer.clone())),
@@ -749,15 +735,7 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
             if matches!(input, Input::Closed(_)) {
                 link = None;
             }
-            let outs = repl.drive(clock.now(), input);
-            let acked = |seq| {
-                outs.iter()
-                    .any(|o| matches!(o, Output::Send(_, ReplMsg::Ack { seq: s }) if *s == seq))
-            };
-            if let Some((_, line)) = warm.filter(|(seq, _)| acked(*seq)) {
-                warm_sweep(shared, &line);
-            }
-            todo.extend(outs);
+            todo.extend(repl.drive(clock.now(), input));
         }
         if next.is_some_and(|at| clock.now() >= at) {
             todo.extend(repl.drive(clock.now(), Input::Timeout));
@@ -805,10 +783,6 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
                     shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
                     Some(Input::Settle { rid, resp })
                 }
-                Output::Promoted(_) => {
-                    install_snapshots(shared);
-                    None
-                }
                 Output::Log(line) => {
                     eprintln!("{line}");
                     None
@@ -819,56 +793,6 @@ pub(crate) fn repl_loop(shared: &Arc<Shared>) {
                 todo.extend(repl.drive(clock.now(), input));
             }
         }
-    }
-}
-
-/// Installs whatever snapshots exist at promotion, without clobbering
-/// warmer in-memory caches.
-fn install_snapshots(shared: &Shared) {
-    if let Some(dir) = &shared.config.journal_dir {
-        let mut fresh = HashMap::new();
-        if install_dir(&dir.join(SNAPSHOT_DIR), &mut fresh).is_ok() {
-            let mut caches = lock_unpoisoned(&shared.caches);
-            for (design, cache) in fresh {
-                caches.entry(design).or_insert(cache);
-            }
-        }
-    }
-}
-
-/// Feeds an acked sweep admit to the follower's cache warmer, so its
-/// snapshots stay warm for a future promotion.
-fn warm_sweep(shared: &Shared, line: &str) {
-    if let (Some(tx), Ok(req)) = (&shared.warm_tx, WireRequest::parse(line)) {
-        if let WireOp::Sweep { design, max_i } = req.op {
-            let _ = tx.send((design, max_i));
-        }
-    }
-}
-
-/// The cache warmer: replays acked sweep admits into the shared caches
-/// off the replication path, checkpointing snapshots as designs warm.
-pub(crate) fn warm_loop(shared: &Arc<Shared>, rx: &std::sync::mpsc::Receiver<(String, u32)>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        let (design, max_i) = match rx.recv_timeout(POLL * 5) {
-            Ok(job) => job,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        let Some(d) = lintra::suite::by_name(&design) else {
-            continue;
-        };
-        for i in 0..=max_i {
-            if shared.draining.load(Ordering::SeqCst) {
-                return;
-            }
-            let mut caches = lock_unpoisoned(&shared.caches);
-            let cache = caches
-                .entry(d.name.to_string())
-                .or_insert_with(|| lintra::engine::SweepCache::new(&d.system));
-            let _ = cache.unfolded(i);
-        }
-        persist_snapshots(shared);
     }
 }
 

@@ -48,22 +48,23 @@
 //! * on restart, admitted-but-unfinished requests are re-executed
 //!   before the listener opens ([`ServerStats::replayed`],
 //!   [`RecoveryReport`]);
-//! * sweep caches are checkpointed to crash-safe snapshots
-//!   ([`lintra::engine::snapshot`]) and reloaded on restart; a corrupt
-//!   snapshot or journal is quarantined (`IO-SNAPSHOT-CORRUPT` /
-//!   `IO-JOURNAL-CORRUPT`) — the server always starts.
+//! * a corrupt journal is quarantined (`IO-JOURNAL-CORRUPT`) — the
+//!   server always starts;
+//! * sweep caches stay in memory: a restart or a promotion starts them
+//!   cold, because recomputing a sweep costs less than an fsync'd
+//!   checkpoint of its cache.
 //!
 //! # Replication
 //!
 //! A durable server can replicate ([`crate::replicate`]): started with
 //! [`ServerConfig::replica_of`] it is a *follower* — it streams the
-//! primary's journal into its own (fsync-before-ack), keeps caches warm,
-//! answers pings and replication status queries, rejects compute with
-//! `RES-NOT-PRIMARY`, and promotes itself (new epoch, snapshot install,
-//! replay of unsettled records) when the primary stays silent past
-//! [`ServerConfig::failover_grace`]. A deposed primary is *fenced*: once
-//! a higher epoch exists, every request it receives — pings included —
-//! is refused with `RES-STALE-EPOCH`.
+//! primary's journal into its own (fsync-before-ack), answers pings and
+//! replication status queries, rejects compute with `RES-NOT-PRIMARY`,
+//! and promotes itself (new epoch, replay of unsettled records) when
+//! the primary stays silent past [`ServerConfig::failover_grace`]. A
+//! deposed primary is *fenced*: once a higher epoch exists, every
+//! request it receives — pings included — is refused with
+//! `RES-STALE-EPOCH`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -76,7 +77,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use lintra::engine::{
-    snapshot, CacheStats, CancelReason, CancelToken, EngineError, SweepCache, SweepCtl, ThreadPool,
+    CacheStats, CancelReason, CancelToken, EngineError, SweepCache, SweepCtl, ThreadPool,
 };
 use lintra::linsys::count::{op_count, TrivialityRule};
 use lintra::matrix::rng::SplitMix64;
@@ -91,7 +92,7 @@ use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, S
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{Journal, SNAPSHOT_DIR};
+use crate::journal::Journal;
 use crate::protocol::{Core, CoreConfig, Input, Output};
 use crate::replicate::{self, Repl, ReplChaos, ReplMsg, StatusView};
 use crate::signal;
@@ -129,9 +130,9 @@ pub struct ServerConfig {
     /// used by `slow-worker`, which sleeps `3 × stall_budget`).
     pub chaos_point_delay: Duration,
     /// Durability directory (`None` = stateless). When set, the server
-    /// keeps a write-ahead request journal (`journal.log`) and cache
-    /// snapshots (`snapshots/*.snap`) here, replays unfinished work on
-    /// startup, and answers retried `request_id`s from the journal.
+    /// keeps a write-ahead request journal (`journal.log`) here, replays
+    /// unfinished work on startup, and answers retried `request_id`s
+    /// from the journal.
     pub journal_dir: Option<PathBuf>,
     /// Size-capped journal rotation: when `Some(t)`, an append that
     /// leaves `journal.log` above `t` bytes compacts settled records
@@ -224,10 +225,6 @@ pub struct RecoveryReport {
     /// Where a corrupt journal was moved, if one was found
     /// (`IO-JOURNAL-CORRUPT`).
     pub journal_quarantined: Option<PathBuf>,
-    /// Cache snapshots loaded and warm.
-    pub snapshots_loaded: usize,
-    /// Corrupt cache snapshots quarantined (`IO-SNAPSHOT-CORRUPT`).
-    pub snapshots_quarantined: usize,
 }
 
 pub(crate) struct Shared {
@@ -241,14 +238,12 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     pub(crate) stats: Counters,
     /// Shared per-design sweep caches: repeated sweeps reuse the
-    /// incremental-unfold chain, and durable servers snapshot them.
+    /// incremental-unfold chain.
     pub(crate) caches: Mutex<HashMap<String, SweepCache>>,
     /// The journal and the replication core (`Some` iff durable — every
     /// durable server can stream to followers; only configured followers
     /// dial out).
     pub(crate) repl: Option<Repl>,
-    /// Feed of acked sweep admits for the follower's cache warmer.
-    pub(crate) warm_tx: Option<std::sync::mpsc::Sender<(String, u32)>>,
 }
 
 /// A replicated server's role, epoch, and progress — the operator's view
@@ -362,8 +357,6 @@ impl ServerHandle {
         for h in std::mem::take(&mut self.repl_threads) {
             let _ = h.join();
         }
-        // Checkpoint the warm caches so the next start resumes them.
-        persist_snapshots(&self.shared);
         self.stats()
     }
 }
@@ -384,17 +377,17 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 ///
 /// A durable server ([`ServerConfig::journal_dir`]) recovers *before*
 /// the listener opens: the journal is scanned (torn tail truncated,
-/// corruption quarantined), snapshots are loaded (corruption
-/// quarantined), and admitted-but-unfinished requests are re-executed —
-/// so the first client to connect sees a consistent service.
+/// corruption quarantined) and admitted-but-unfinished requests are
+/// re-executed — so the first client to connect sees a consistent
+/// service.
 ///
 /// # Errors
 ///
 /// Returns an `IO-FAILURE` error when the bind fails (or the durability
 /// directory is unusable) and a `VAL-CONFIG` error for an invalid
 /// worker-count configuration (explicit `Some(0)` or a garbage
-/// `LINTRA_JOBS`). Damaged journal or snapshot *content* never fails
-/// startup — it is quarantined and reported in [`RecoveryReport`].
+/// `LINTRA_JOBS`). Damaged journal *content* never fails startup — it
+/// is quarantined and reported in [`RecoveryReport`].
 pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     if (config.replica_of.is_some() || !config.peers.is_empty()) && config.journal_dir.is_none() {
         return Err(LintraError::new(
@@ -435,19 +428,15 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     // Recover durable state before anything can observe the server.
     let mut recovery = None;
     let mut durable = None;
-    let mut caches: HashMap<String, SweepCache> = HashMap::new();
     if let Some(dir) = &config.journal_dir {
         let (journal, rec) =
             Journal::open_dir_with(dir, config.journal_rotate_bytes).map_err(LintraError::from)?;
-        let mut report = RecoveryReport {
+        recovery = Some(RecoveryReport {
             answered: rec.completed.len(),
             torn_tail: rec.torn_tail,
             journal_quarantined: rec.quarantined,
             ..RecoveryReport::default()
-        };
-        load_snapshots(&dir.join(SNAPSHOT_DIR), &mut caches, &mut report)
-            .map_err(LintraError::from)?;
-        recovery = Some(report);
+        });
         let epoch_dir = config.epoch_dir.as_ref().unwrap_or(dir);
         std::fs::create_dir_all(epoch_dir).map_err(LintraError::from)?;
         // A corrupt epoch file is a startup error: silently resetting
@@ -457,8 +446,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?;
         durable = Some((journal, rec.records, state, epoch_path));
     }
-    let is_follower = config.replica_of.is_some();
-    let timer_thread = is_follower || !config.peers.is_empty();
+    let timer_thread = config.replica_of.is_some() || !config.peers.is_empty();
 
     let listener = Listener::bind(&config.addr)?;
     let addr = listener.addr;
@@ -490,13 +478,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         Repl::new(core, journal, epoch_path, timer_thread)
     });
 
-    let (warm_tx, warm_rx) = if is_follower {
-        let (tx, rx) = std::sync::mpsc::channel();
-        (Some(tx), Some(rx))
-    } else {
-        (None, None)
-    };
-
     let shared = Arc::new(Shared {
         breaker: CircuitBreaker::new(config.breaker),
         config,
@@ -505,9 +486,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         inflight: AtomicUsize::new(0),
         draining: AtomicBool::new(false),
         stats: Counters::default(),
-        caches: Mutex::new(caches),
+        caches: Mutex::new(HashMap::new()),
         repl,
-        warm_tx,
     });
 
     // Replay unfinished admissions synchronously: each settles with a
@@ -548,10 +528,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         let sh = Arc::clone(&shared);
         repl_threads.push(thread::spawn(move || replicate::repl_loop(&sh)));
     }
-    if let Some(rx) = warm_rx {
-        let sh = Arc::clone(&shared);
-        repl_threads.push(thread::spawn(move || replicate::warm_loop(&sh, &rx)));
-    }
 
     Ok(ServerHandle {
         addr,
@@ -560,21 +536,6 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         recovery,
         repl_threads,
     })
-}
-
-/// Loads every `*.snap` in `dir` into `caches` via the engine's shared
-/// install path ([`snapshot::install_dir`] — also used at promotion); a
-/// snapshot that fails its checksum or invariants is quarantined, never
-/// trusted and never fatal.
-fn load_snapshots(
-    dir: &std::path::Path,
-    caches: &mut HashMap<String, SweepCache>,
-    report: &mut RecoveryReport,
-) -> Result<(), std::io::Error> {
-    let installed = snapshot::install_dir(dir, caches)?;
-    report.snapshots_loaded += installed.loaded;
-    report.snapshots_quarantined += installed.quarantined;
-    Ok(())
 }
 
 /// Re-executes one journaled-but-unfinished request (startup recovery
@@ -623,23 +584,6 @@ fn process_nonce(epoch_path: &std::path::Path, clock: &dyn Clock) -> u64 {
     // JSON numbers are f64: keep the nonce within 2^53 so it round-trips
     // the wire exactly.
     SplitMix64::new(hasher.finish()).next_u64() & ((1 << 53) - 1)
-}
-
-/// Best-effort checkpoint of every warm sweep cache into the durability
-/// directory (atomic write-rename per design). Snapshots are an
-/// optimization: a failed save costs recompute, never correctness.
-pub(crate) fn persist_snapshots(shared: &Arc<Shared>) {
-    let Some(dir) = &shared.config.journal_dir else {
-        return;
-    };
-    let snap_dir = dir.join(SNAPSHOT_DIR);
-    if std::fs::create_dir_all(&snap_dir).is_err() {
-        return;
-    }
-    let caches = lock_unpoisoned(&shared.caches);
-    for (design, cache) in caches.iter() {
-        let _ = snapshot::save(cache, &snap_dir.join(format!("{design}.snap")));
-    }
 }
 
 /// What to do with one request line.
@@ -1120,11 +1064,6 @@ fn execute(
                     Json::Num(muls),
                     Json::Num(adds),
                 ]));
-            }
-            // A durable server checkpoints the freshly-warmed cache so a
-            // crash-restart resumes it instead of recomputing the chain.
-            if cfg.journal_dir.is_some() {
-                persist_snapshots(shared);
             }
             Ok(Json::obj([
                 ("design", Json::Str(d.name.to_string())),

@@ -165,9 +165,13 @@ echo "group 0 primary killed with 4 sweeps in flight"
 # every 100 ms; the follower answers its probe as a non-serving role
 # until the failover grace expires)...
 wait_for_status '^shard 0: DOWN' "cluster-status to mark shard 0 DOWN"
-"$LINTRA" cluster-status --addr "$RADDR" | grep -q '^shard 1: healthy' || {
+# Capture once and grep the capture: piping cluster-status into `grep -q`
+# under pipefail fails when grep exits at the match before the status
+# command has written its last line.
+STATUS=$("$LINTRA" cluster-status --addr "$RADDR") || true
+grep -q '^shard 1: healthy' <<<"$STATUS" || {
     echo "router_chaos: FAIL — shard 1 lost health during shard 0's outage" >&2
-    "$LINTRA" cluster-status --addr "$RADDR" >&2 || true
+    echo "$STATUS" >&2
     exit 1
 }
 echo "cluster-status: shard 0 DOWN, shard 1 healthy (blast radius contained)"

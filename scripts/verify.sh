@@ -4,8 +4,10 @@
 #   ./scripts/verify.sh
 #
 # 1. release build + full test suite (the ROADMAP tier-1 bar),
-# 2. clippy with warnings denied — including `unwrap_used`/`expect_used`
-#    in the pipeline crates (see [workspace.lints] in Cargo.toml),
+# 2. clippy with warnings denied on every target (libraries, bins, tests,
+#    examples) — including `unwrap_used`/`expect_used` in the pipeline
+#    crates (see [workspace.lints] in Cargo.toml; clippy.toml lets tests
+#    use them),
 # 3. rustfmt drift check (the tree is formatted; keep it that way).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,8 +18,8 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== lint gate: cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== lint gate: cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== format gate: cargo fmt --check =="
 cargo fmt --check

@@ -11,8 +11,9 @@
 //!   bit-identical bytes, zero sweep recompute;
 //! * a torn journal tail (the normal `kill -9` artifact) is truncated
 //!   and service continues; a corrupt record quarantines the whole
-//!   file; a corrupt snapshot is quarantined too — the server always
-//!   starts, never panics.
+//!   file — the server always starts, never panics;
+//! * the journal is the only thing a durable server writes: sweep
+//!   caches stay in memory.
 
 #![allow(clippy::expect_used)] // tests: a failed precondition should abort loudly
 
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use lintra_bench::json::Json;
 use lintra_bench::wire::{WireOp, WireRequest, WireResponse};
-use lintra_serve::journal::{Journal, RecordKind, JOURNAL_FILE, SNAPSHOT_DIR};
+use lintra_serve::journal::{Journal, RecordKind, JOURNAL_FILE};
 use lintra_serve::{start, ServerConfig, ServerHandle};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -87,6 +88,15 @@ fn retried_key_is_answered_bit_identically_with_zero_recompute_across_restart() 
     let warm = server.cache_stats();
     assert!(warm.misses > 0, "first execution computed the chain");
     server.shutdown();
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read durability dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(
+        files,
+        [JOURNAL_FILE],
+        "a sweep writes nothing but the journal"
+    );
 
     // Second life: the key is settled in the journal; a retry with the
     // same correlation id must be answered with the journaled bytes —
@@ -95,10 +105,6 @@ fn retried_key_is_answered_bit_identically_with_zero_recompute_across_restart() 
     let rec = server.recovery().expect("durable server").clone();
     assert_eq!(rec.answered, 1, "one settled key loaded: {rec:?}");
     assert_eq!(rec.replayed, 0, "nothing was unfinished: {rec:?}");
-    assert!(
-        rec.snapshots_loaded >= 1,
-        "sweep cache snapshot reloaded: {rec:?}"
-    );
 
     let before = server.cache_stats();
     let second = raw_request(&server, &req);
@@ -223,47 +229,6 @@ fn corrupt_journal_is_quarantined_and_the_server_still_starts() {
         .is_ok());
     let stats = server.shutdown();
     assert_eq!(stats.deduped, 0, "{stats:?}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupt_snapshot_is_quarantined_and_sweeps_still_serve() {
-    let dir = temp_dir("corrupt-snap");
-    {
-        let server = start(durable_config(&dir)).expect("first start");
-        raw_request(&server, &keyed_sweep("corr-s", "snap-job-1", 10));
-        server.shutdown();
-    }
-    let snap = dir.join(SNAPSHOT_DIR).join("chemical.snap");
-    assert!(snap.exists(), "sweep checkpointed a snapshot");
-    let mut bytes = std::fs::read(&snap).expect("read snapshot");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&snap, &bytes).expect("corrupt snapshot");
-
-    let server = start(durable_config(&dir)).expect("restart despite corruption");
-    let rec = server.recovery().expect("durable server").clone();
-    assert_eq!(rec.snapshots_quarantined, 1, "{rec:?}");
-    assert_eq!(rec.snapshots_loaded, 0, "{rec:?}");
-    assert!(!snap.exists(), "corrupt snapshot moved aside");
-
-    // A fresh (unkeyed) sweep recomputes from scratch and succeeds.
-    let resp = raw_request(
-        &server,
-        &WireRequest::new(
-            "fresh",
-            WireOp::Sweep {
-                design: "chemical".to_string(),
-                max_i: 10,
-            },
-        )
-        .render_line(),
-    );
-    assert!(WireResponse::parse(&resp)
-        .expect("parseable")
-        .outcome
-        .is_ok());
-    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

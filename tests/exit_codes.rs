@@ -75,7 +75,6 @@ fn service_codes_are_documented() {
         "VAL-MALFORMED-REQUEST",
         "VAL-CONFIG",
         "IO-JOURNAL-CORRUPT",
-        "IO-SNAPSHOT-CORRUPT",
         "RES-STALE-EPOCH",
         "RES-NOT-PRIMARY",
         "IO-REPL-CORRUPT",
@@ -106,7 +105,6 @@ fn durability_codes_map_to_their_classes() {
         Some(ErrorClass::Resource)
     );
     assert_eq!(class_of("IO-JOURNAL-CORRUPT"), Some(ErrorClass::Io));
-    assert_eq!(class_of("IO-SNAPSHOT-CORRUPT"), Some(ErrorClass::Io));
     assert_eq!(class_of("RES-STALE-EPOCH"), Some(ErrorClass::Resource));
     assert_eq!(class_of("RES-NOT-PRIMARY"), Some(ErrorClass::Resource));
     assert_eq!(class_of("IO-REPL-CORRUPT"), Some(ErrorClass::Io));
@@ -116,19 +114,6 @@ fn durability_codes_map_to_their_classes() {
     );
     assert_eq!(class_of("RES-SHARD-DOWN"), Some(ErrorClass::Resource));
     assert_eq!(class_of("RES-RETRY-BUDGET"), Some(ErrorClass::Resource));
-
-    // A corrupt snapshot surfaces as IO-SNAPSHOT-CORRUPT through the
-    // standard From conversion; an I/O failure stays IO-FAILURE.
-    let corrupt = LintraError::from(lintra::engine::SnapshotError::Corrupt {
-        detail: "checksum mismatch".to_string(),
-    });
-    assert_eq!(corrupt.code(), "IO-SNAPSHOT-CORRUPT");
-    assert_eq!(corrupt.class(), ErrorClass::Io);
-    assert_eq!(corrupt.exit_code(), 6);
-    let io = LintraError::from(lintra::engine::SnapshotError::Io(std::io::Error::other(
-        "disk full",
-    )));
-    assert_eq!(io.code(), "IO-FAILURE");
 }
 
 #[test]
