@@ -45,9 +45,6 @@ pub const WIRE_V1: &str = "lintra-wire/v1";
 /// `request_id` (idempotency key) members; v1 frames still parse.
 pub const WIRE_V2: &str = "lintra-wire/v2";
 
-/// The current wire-protocol identifier; bump on breaking changes.
-pub const WIRE_SCHEMA: &str = WIRE_V2;
-
 /// Ceiling on the `request_id` idempotency key length, bytes: the key is
 /// persisted in the write-ahead journal, so unbounded keys would let a
 /// client bloat the durability layer.

@@ -130,11 +130,6 @@ impl SaturationStats {
     pub fn saturated(&self) -> bool {
         self.stop == StopReason::Saturated
     }
-
-    /// Total engine time across all phases, in seconds.
-    pub fn total_s(&self) -> f64 {
-        self.match_s + self.apply_s + self.rebuild_s
-    }
 }
 
 impl PartialEq for SaturationStats {

@@ -24,7 +24,6 @@
 //! assert_eq!(a2, &a * &a);
 //! ```
 
-mod block;
 pub mod eigen;
 mod expm;
 pub mod lu;
@@ -33,7 +32,6 @@ mod norms;
 pub mod rng;
 mod stats;
 
-pub use block::{block_diag, hstack, vstack};
 pub use eigen::{eigenvalues, spectral_radius_exact};
 pub use expm::{expm, expm_with, ExpmWorkspace};
 pub use matrix::Matrix;

@@ -62,21 +62,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "data length {} does not match shape {rows}x{cols}",
-            data.len()
-        );
-        Matrix { rows, cols, data }
-    }
-
     /// Creates a matrix from row slices.
     ///
     /// # Panics
@@ -146,11 +131,6 @@ impl Matrix {
     /// Borrow the row-major backing storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the row-major backing storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `r` as a slice.

@@ -42,12 +42,12 @@
 //! retry backoff are its timers ([`RouterCore::poll_timeout`]). The
 //! threaded router below drives it over the server's socket layer
 //! ([`crate::transport`]: one accept loop, one connection loop with the
-//! frame-size and slow-loris guards, one round trip per forward), and the
-//! deterministic simulator (`lintra-sim`) drives the same core under
-//! virtual time.
+//! frame-size and slow-loris guards, one exchange per forward on a
+//! connection it keeps open), and the deterministic simulator
+//! (`lintra-sim`) drives the same core under virtual time.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -64,7 +64,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::replicate::{exchange, ReplMsg, StatusView};
 use crate::server::lock_unpoisoned;
 use crate::transport::{
-    accept_loop, round_trip, serve_connection, Conn, Listener, TcpTransport, POLL,
+    accept_loop, send_and_read, serve_connection, Conn, Listener, TcpTransport, Transport, POLL,
 };
 
 // --- routing arithmetic ---------------------------------------------------
@@ -368,8 +368,8 @@ pub enum Output {
         /// The answer.
         line: String,
     },
-    /// Send `line` to endpoint `to` on a connection of its own and feed
-    /// the one response line back as [`Input::Answer`] under `attempt`.
+    /// Send `line` to endpoint `to` and feed the one response line back
+    /// as [`Input::Answer`] under `attempt`.
     Forward {
         /// Names this send in its [`Input::Answer`].
         attempt: u64,
@@ -391,9 +391,10 @@ struct Shard {
     /// primary the prober found).
     cursor: usize,
     breaker: CircuitBreaker,
-    /// Last probe round found a serving replica (status display; the
-    /// breaker is the authority for admission).
-    probed_healthy: bool,
+    /// The last probe round's verdict: `Some(true)` found a serving
+    /// replica, `Some(false)` found none, `None` before the first round.
+    /// The breaker is the authority for admission; this one gates hedges.
+    probed: Option<bool>,
     latency: LatencyTracker,
 }
 
@@ -480,7 +481,7 @@ impl RouterCore {
             endpoints: endpoints.clone(),
             cursor: 0,
             breaker: CircuitBreaker::new(config.breaker),
-            probed_healthy: false,
+            probed: None,
             latency: LatencyTracker::default(),
         });
         RouterCore {
@@ -615,7 +616,9 @@ impl RouterCore {
 
     /// One walk of the shard's replica list from its cursor; a racing
     /// request also arms its hedge at the shard's P99, floored at
-    /// `hedge_min`.
+    /// `hedge_min` and capped below the forward deadline: retried
+    /// requests can lift the P99 past that deadline, and a lost first
+    /// forward would then never be raced.
     fn start_round(&mut self, now: Duration, id: u64, out: &mut Vec<Output>) {
         let Some(p) = self.pending.get_mut(&id) else {
             return;
@@ -624,7 +627,8 @@ impl RouterCore {
             let delay = self.shards[p.shard]
                 .latency
                 .hedge_delay_ms(millis(self.hedge_min));
-            p.hedge_at = Some(now + Duration::from_millis(delay));
+            let cap = self.forward_budget.saturating_sub(Duration::from_millis(1));
+            p.hedge_at = Some(now + Duration::from_millis(delay).min(cap));
         }
         self.launch(now, id, false, out);
     }
@@ -830,7 +834,12 @@ impl RouterCore {
             // P99 exceeded: race the next replica. A hedge is speculative
             // retry traffic, so it draws from the same global budget; an
             // empty budget skips the hedge but never sheds the original.
-            if hedge && self.budget.try_retry() {
+            // Nor is a shard hedged whose last probe round found no serving
+            // replica: hedges raced against a blacked-out shard, before its
+            // breaker opened, drained the budget that a healthy shard's
+            // lost forward then needed (R1 regression seed 3327).
+            let down = self.shards[p.shard].probed == Some(false);
+            if hedge && !down && self.budget.try_retry() {
                 self.stats.hedges += 1;
                 self.launch(now, id, true, out);
             }
@@ -852,11 +861,11 @@ impl RouterCore {
         match serving.filter(|i| *i < s.endpoints.len()) {
             Some(i) => {
                 s.cursor = i;
-                s.probed_healthy = true;
+                s.probed = Some(true);
                 s.breaker.record_success();
             }
             None => {
-                s.probed_healthy = false;
+                s.probed = Some(false);
                 s.breaker.record_failure(now);
             }
         }
@@ -878,7 +887,7 @@ impl RouterCore {
                     ("endpoints", Json::Arr(endpoints.collect())),
                     ("preferred", Json::Str(s.endpoint(s.cursor))),
                     ("breaker", Json::Str(s.breaker.state_label().to_string())),
-                    ("probed_healthy", Json::Bool(s.probed_healthy)),
+                    ("probed_healthy", Json::Bool(s.probed == Some(true))),
                     ("p99_ms", p99.map_or(Json::Null, |ms| Json::Num(ms as f64))),
                 ])
             })
@@ -917,6 +926,77 @@ fn render_failure(id: &str, class: ErrorClass, code: &str, message: String) -> S
 
 // --- the threaded driver ----------------------------------------------------
 
+/// Idle connections kept per shard endpoint. Each one holds a connection
+/// thread open on the shard server, so the bound keeps what concurrent
+/// forwards to one endpoint reuse and no more. On the benchmark's
+/// `routed_replicated` workload (10 s runs on a 2-vCPU host), a bound of
+/// 1 answered 84–90 closed-loop requests/s (5 seeds) and bounds of 2, 4
+/// and 8 answered 91–97 (3 to 5 seeds each), with latency and peak
+/// memory inside their run-to-run spread; 4 is the middle of that
+/// plateau. A forward that finds none idle connects, and a connection
+/// past the bound closes after its reply.
+const IDLE_PER_ENDPOINT: usize = 4;
+
+/// The router's idle connections to its shard endpoints, shared by every
+/// forward. One pool, not a connection per client connection: clients
+/// such as `lintra request` open a connection per request, so an
+/// upstream connection tied to one would never be reused.
+struct Pool {
+    /// `None` once the pool is closed.
+    idle: Mutex<Option<IdleConns>>,
+}
+
+/// Endpoint → its idle connections.
+type IdleConns = HashMap<String, Vec<Box<dyn Conn>>>;
+
+impl Pool {
+    fn new() -> Pool {
+        Pool {
+            idle: Mutex::new(Some(HashMap::new())),
+        }
+    }
+
+    /// An idle connection to `endpoint`, the most recently used first.
+    fn take(&self, endpoint: &str) -> Option<Box<dyn Conn>> {
+        lock_unpoisoned(&self.idle)
+            .as_mut()?
+            .get_mut(endpoint)?
+            .pop()
+    }
+
+    /// Keeps `conn`, whose last reply was complete, for the next forward
+    /// to `endpoint`; past the bound or once closed, it closes instead.
+    fn put(&self, endpoint: &str, conn: Box<dyn Conn>) {
+        let mut idle = lock_unpoisoned(&self.idle);
+        let Some(map) = idle.as_mut() else {
+            return;
+        };
+        let conns = map.entry(endpoint.to_string()).or_default();
+        if conns.len() < IDLE_PER_ENDPOINT {
+            conns.push(conn);
+        }
+    }
+
+    /// Closes `endpoint`'s idle connections: it failed to answer, so
+    /// they may lead to a dead or vanished host.
+    fn purge(&self, endpoint: &str) {
+        if let Some(map) = lock_unpoisoned(&self.idle).as_mut() {
+            map.remove(endpoint);
+        }
+    }
+
+    /// Closes every idle connection and keeps none from now on.
+    fn close(&self) {
+        *lock_unpoisoned(&self.idle) = None;
+    }
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool").finish_non_exhaustive()
+    }
+}
+
 #[derive(Debug)]
 struct RouterShared {
     config: RouterConfig,
@@ -924,6 +1004,7 @@ struct RouterShared {
     /// here.
     clock: SystemClock,
     core: Mutex<RouterCore>,
+    pool: Pool,
     next_conn: AtomicU64,
     draining: AtomicBool,
 }
@@ -959,12 +1040,15 @@ impl RouterHandle {
         )
     }
 
-    /// Stops accepting, joins the service threads.
+    /// Stops accepting, joins the service threads, and closes the idle
+    /// shard connections, so the shards' connection threads see EOF at
+    /// once.
     pub fn shutdown(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        self.shared.pool.close();
         if let Some(t) = self.probe_thread.take() {
             let _ = t.join();
         }
@@ -1004,6 +1088,7 @@ pub fn start_router(config: RouterConfig) -> Result<RouterHandle, LintraError> {
     let shared = Arc::new(RouterShared {
         clock: SystemClock::new(),
         core: Mutex::new(core),
+        pool: Pool::new(),
         next_conn: AtomicU64::new(0),
         draining: AtomicBool::new(false),
         config,
@@ -1029,23 +1114,36 @@ pub fn start_router(config: RouterConfig) -> Result<RouterHandle, LintraError> {
 
 /// Background health prober: per shard, queries the replicas in order
 /// until one answers as serving, and hands the round's verdict to the
-/// core (a verdict has no outputs).
+/// core (a verdict has no outputs). Each probe opens a connection of its
+/// own, so it also checks that the endpoint still accepts them; an
+/// endpoint that does not answer as serving loses its idle connections.
 fn probe_loop(shared: &Arc<RouterShared>) {
     let clock = &shared.clock;
     let timeout = shared.config.connect_timeout;
-    while !shared.draining.load(Ordering::SeqCst) {
+    let draining = || shared.draining.load(Ordering::SeqCst);
+    while !draining() {
         for (shard, endpoints) in shared.config.shards.iter().enumerate() {
-            if shared.draining.load(Ordering::SeqCst) {
+            if draining() {
                 return;
             }
             let serving = endpoints.iter().position(|endpoint| {
                 let reply = exchange(clock, endpoint, &ReplMsg::Status, timeout);
-                matches!(reply, Some(ReplMsg::StatusReply(view)) if serves(&view.role))
+                let serving =
+                    matches!(reply, Some(ReplMsg::StatusReply(view)) if serves(&view.role));
+                if !serving {
+                    shared.pool.purge(endpoint);
+                }
+                serving
             });
             let probed = Input::Probed { shard, serving };
             lock_unpoisoned(&shared.core).step(clock.now(), probed);
         }
-        clock.sleep(shared.config.probe_interval);
+        // Sleep out the interval a poll at a time, so a shutdown never
+        // waits for a whole one.
+        let wake = clock.deadline(shared.config.probe_interval);
+        while !draining() && !clock.expired(wake) {
+            clock.sleep(POLL.min(wake.saturating_sub(clock.now())));
+        }
     }
 }
 
@@ -1113,16 +1211,51 @@ fn route(
 }
 
 /// Forwards one raw request line to one endpoint and reads one response
-/// line.
+/// line, on an idle connection from the pool when there is one. The
+/// connection goes back to the pool only when its reply was complete and
+/// nothing came past it; any failure closes it and purges the endpoint's
+/// idle connections.
+///
+/// A reused connection may have been closed by the shard while it sat
+/// idle. Only when it fails before any reply byte arrives (the send
+/// fails, or EOF or a reset comes with nothing read) is the line sent
+/// once more, on a fresh connection. The request did not run on the closed one: a
+/// server closes an idle connection only when it drains, and it checks
+/// for a drain before each read (`transport::serve_connection`); the
+/// `conn-drop` chaos fault closes before executing. If the shard process
+/// died instead, the fresh connect fails. A reply timeout or a partial
+/// reply is never retried here: the shard may have read the line.
 fn forward_once(shared: &RouterShared, endpoint: &str, line: &str) -> Result<String, String> {
-    let cfg = &shared.config;
-    let (connect, reply) = (cfg.connect_timeout, cfg.request_timeout);
-    round_trip(&TcpTransport, &shared.clock, endpoint, line, connect, reply)
+    let (cfg, pool) = (&shared.config, &shared.pool);
+    let send = |mut conn: Box<dyn Conn>| {
+        let mut buf = Vec::new();
+        let reply = cfg.request_timeout;
+        let answer = send_and_read(conn.as_mut(), &mut buf, &shared.clock, line, reply);
+        if answer.is_err() {
+            pool.purge(endpoint);
+        } else if buf.is_empty() {
+            pool.put(endpoint, conn);
+        }
+        answer
+    };
+    match pool.take(endpoint).map(send) {
+        Some(Err(e)) if e.stale => {}
+        Some(answer) => return answer.map_err(|e| e.reason),
+        None => {}
+    }
+    match TcpTransport.connect(endpoint, cfg.connect_timeout) {
+        Ok(conn) => send(conn).map_err(|e| e.reason),
+        Err(e) => {
+            pool.purge(endpoint);
+            Err(e.to_string())
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::NetError;
     use lintra_bench::wire::WireOp;
 
     #[test]
@@ -1562,6 +1695,106 @@ mod tests {
         );
         let outs = core.step(ms(40), Input::Answer(first.0, Ok(ok("k"))));
         assert_eq!(replies(&outs), [("c1", "ok".to_string())]);
+    }
+
+    #[test]
+    fn a_p99_past_the_forward_deadline_still_hedges_before_that_deadline() {
+        let mut core = core_over(&["a", "b"], 8, 3);
+        // An unkeyed request answered only after a re-walk, 140 ms in:
+        // the shard's P99 is now past its 100 ms forward deadline.
+        let refused = || Err("refused".to_string());
+        let first = forward(&core.step(ms(0), line("c", "u", false)));
+        let second = forward(&core.step(ms(10), Input::Answer(first.0, refused())));
+        assert!(core
+            .step(ms(20), Input::Answer(second.0, refused()))
+            .is_empty());
+        let retry = forward(&core.step(ms(45), Input::Timeout(None)));
+        core.step(ms(140), Input::Answer(retry.0, Ok(ok("u"))));
+        assert_eq!(core.shards[0].latency.p99_ms(), Some(140));
+        // A keyed request's first forward is due by 300 ms; its hedge
+        // goes out before then, so a lost forward is always raced.
+        let original = forward(&core.step(ms(200), line("c", "k", true)));
+        let hedge_at = core.poll_timeout(None).expect("a timer is armed");
+        assert!(hedge_at < ms(300), "hedge armed at {hedge_at:?}");
+        let hedge = forward(&core.step(hedge_at, Input::Timeout(None)));
+        assert_ne!(hedge.0, original.0);
+        assert_eq!(hedge.1, "b");
+        assert_eq!(core.stats().hedges, 1);
+    }
+
+    #[test]
+    fn a_shard_its_last_probe_round_found_down_is_not_hedged() {
+        let mut core = core_over(&["a", "b"], 8, 3);
+        let probed = |serving| Input::Probed { shard: 0, serving };
+        core.step(ms(0), probed(None));
+        forward(&core.step(ms(10), line("c", "k1", true)));
+        assert_eq!(core.poll_timeout(None), Some(ms(60)));
+        assert!(core.step(ms(60), Input::Timeout(None)).is_empty());
+        assert_eq!(core.budget.balance_milli(), 8000, "no token spent");
+        // A round that finds a serving replica lets hedges race again.
+        core.step(ms(70), probed(Some(0)));
+        forward(&core.step(ms(80), line("c", "k2", true)));
+        let hedge = forward(&core.step(ms(130), Input::Timeout(None)));
+        assert_eq!(hedge.1, "b");
+        assert_eq!(core.stats().hedges, 1);
+    }
+
+    // --- the threaded router's connection pool --------------------------------
+
+    /// A scripted connection that answers every line with its own name.
+    struct Named(String);
+
+    impl Conn for Named {
+        fn send(&mut self, _bytes: &[u8]) -> Result<(), NetError> {
+            Ok(())
+        }
+        fn recv(&mut self, buf: &mut [u8], _timeout: Duration) -> Result<usize, NetError> {
+            let line = format!("{}\n", self.0);
+            buf[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
+        }
+    }
+
+    fn named(name: &str) -> Box<dyn Conn> {
+        Box::new(Named(name.to_string()))
+    }
+
+    /// The name of the connection `pool` hands out for `endpoint`.
+    fn reused(pool: &Pool, endpoint: &str) -> Option<String> {
+        let mut conn = pool.take(endpoint)?;
+        let clock = SystemClock::new();
+        send_and_read(conn.as_mut(), &mut Vec::new(), &clock, "who", ms(100)).ok()
+    }
+
+    #[test]
+    fn the_pool_hands_back_what_it_kept_up_to_its_bound() {
+        let pool = Pool::new();
+        assert_eq!(reused(&pool, "a"), None);
+        for i in 0..=IDLE_PER_ENDPOINT {
+            pool.put("a", named(&format!("a{i}")));
+        }
+        pool.put("b", named("b0"));
+        // The most recently kept first; the one past the bound was closed.
+        for i in (0..IDLE_PER_ENDPOINT).rev() {
+            assert_eq!(reused(&pool, "a"), Some(format!("a{i}")));
+        }
+        assert_eq!(reused(&pool, "a"), None);
+        assert_eq!(reused(&pool, "b").as_deref(), Some("b0"));
+    }
+
+    #[test]
+    fn a_purge_closes_one_endpoints_idle_connections_and_close_keeps_none() {
+        let pool = Pool::new();
+        pool.put("a", named("a0"));
+        pool.put("b", named("b0"));
+        pool.purge("a");
+        assert_eq!(reused(&pool, "a"), None);
+        assert_eq!(reused(&pool, "b").as_deref(), Some("b0"));
+        pool.put("b", named("b1"));
+        pool.close();
+        assert_eq!(reused(&pool, "b"), None);
+        pool.put("b", named("b2"));
+        assert_eq!(reused(&pool, "b"), None, "a closed pool keeps nothing");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! this module. The server (`lintra serve`) and the router (`lintra route`)
 //! each bind one [`Listener`] and run the one [`accept_loop`] and the one
 //! [`serve_connection`] over it. [`read_line`] is the one newline framer,
-//! and [`round_trip`] the one "send a line, read a line" exchange, shared
-//! by status and peer queries, the router's forwards, the
-//! [`crate::Client`] and `lintra cluster-status`.
+//! and [`send_and_read`] the one "send a line, read a line" exchange on an
+//! open connection. [`round_trip`] runs it on a fresh connection for
+//! status and peer queries, the [`crate::Client`] and `lintra
+//! cluster-status`; the router's forwards run it on connections they
+//! keep open.
 //!
 //! Outbound connects go through the [`Transport`] trait and reads time
 //! out on a [`Clock`], so the [`crate::Client`] runs unmodified over the
@@ -143,9 +145,55 @@ pub fn read_line(
     }
 }
 
+/// Why [`send_and_read`] got no reply line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct NoReply {
+    /// The step that failed: the send, or a reply that never came, was
+    /// cut off or overran [`MAX_FRAME_BYTES`].
+    pub(crate) reason: String,
+    /// No byte of a reply arrived because the connection was gone: the
+    /// send failed, or the peer closed it (EOF, reset) with nothing read.
+    /// A timeout or a partial reply is never stale: the peer may have
+    /// read the line and acted on it.
+    pub(crate) stale: bool,
+}
+
+/// One request/reply exchange on an open connection: sends `line`
+/// (newline-terminated here) and waits up to `reply` for one line back.
+/// Bytes that arrive past the reply line stay in `buf`.
+///
+/// # Errors
+///
+/// A [`NoReply`] naming the step that failed.
+pub(crate) fn send_and_read(
+    conn: &mut dyn Conn,
+    buf: &mut Vec<u8>,
+    clock: &dyn Clock,
+    line: &str,
+    reply: Duration,
+) -> Result<String, NoReply> {
+    let mut framed = line.trim_end().to_string();
+    framed.push('\n');
+    if let Err(e) = conn.send(framed.as_bytes()) {
+        let reason = format!("sending: {e}");
+        return Err(NoReply {
+            reason,
+            stale: true,
+        });
+    }
+    let read = read_line(conn, buf, reply, reply, clock);
+    let stale = matches!(read, Ok(None)) && buf.is_empty();
+    let reason = match read {
+        Ok(Some(answer)) => return Ok(answer),
+        Ok(None) => "connection closed before a response".to_string(),
+        Err(NetError::Timeout) => format!("no response within {} ms", reply.as_millis()),
+        Err(e) => format!("reading response: {e}"),
+    };
+    Err(NoReply { reason, stale })
+}
+
 /// One request/reply exchange on a fresh connection: connects to `addr`
-/// within `connect`, sends `line` (newline-terminated here), and waits
-/// up to `reply` for one line back.
+/// within `connect`, then [`send_and_read`] with `reply`.
 ///
 /// # Errors
 ///
@@ -162,16 +210,7 @@ pub fn round_trip(
     let mut conn = transport
         .connect(addr, connect)
         .map_err(|e| e.to_string())?;
-    let mut framed = line.trim_end().to_string();
-    framed.push('\n');
-    conn.send(framed.as_bytes())
-        .map_err(|e| format!("sending: {e}"))?;
-    match read_line(conn.as_mut(), &mut Vec::new(), reply, reply, clock) {
-        Ok(Some(answer)) => Ok(answer),
-        Ok(None) => Err("connection closed before a response".to_string()),
-        Err(NetError::Timeout) => Err(format!("no response within {} ms", reply.as_millis())),
-        Err(e) => Err(format!("reading response: {e}")),
-    }
+    send_and_read(conn.as_mut(), &mut Vec::new(), clock, line, reply).map_err(|e| e.reason)
 }
 
 // --- production impls -----------------------------------------------------
@@ -199,6 +238,16 @@ impl Transport for TcpTransport {
     }
 }
 
+/// The link is gone: the peer reset or closed it. A read can see a
+/// broken pipe too, when the peer's reset answers a send to a closed
+/// socket.
+fn is_gone(kind: ErrorKind) -> bool {
+    matches!(
+        kind,
+        ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+    )
+}
+
 /// A [`Conn`] over one `TcpStream`. The read timeout is a socket
 /// attribute; it is re-set only when a call's budget differs from the
 /// last one, so tight poll loops cost one syscall per read, not two.
@@ -219,9 +268,7 @@ impl TcpConn {
 impl Conn for TcpConn {
     fn send(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         self.stream.write_all(bytes).map_err(|e| match e.kind() {
-            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
-                NetError::Closed
-            }
+            kind if is_gone(kind) => NetError::Closed,
             _ => NetError::Failed(format!("sending: {e}")),
         })
     }
@@ -241,7 +288,7 @@ impl Conn for TcpConn {
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 Err(NetError::Timeout)
             }
-            Err(e) if matches!(e.kind(), ErrorKind::ConnectionReset) => Err(NetError::Closed),
+            Err(e) if is_gone(e.kind()) => Err(NetError::Closed),
             Err(e) => Err(NetError::Failed(format!("reading: {e}"))),
         }
     }
@@ -460,6 +507,64 @@ mod tests {
             "buffered {}",
             buf.len()
         );
+    }
+
+    /// A connection that takes every send (or fails them all), replays
+    /// `reads`, and then reports `then`.
+    struct Scripted {
+        send_fails: bool,
+        reads: Vec<&'static str>,
+        then: NetError,
+    }
+
+    impl Conn for Scripted {
+        fn send(&mut self, _bytes: &[u8]) -> Result<(), NetError> {
+            if self.send_fails {
+                return Err(NetError::Closed);
+            }
+            Ok(())
+        }
+        fn recv(&mut self, buf: &mut [u8], timeout: Duration) -> Result<usize, NetError> {
+            if self.reads.is_empty() {
+                if self.then == NetError::Timeout {
+                    std::thread::sleep(timeout);
+                }
+                return Err(self.then.clone());
+            }
+            let bytes = self.reads.remove(0).as_bytes();
+            buf[..bytes.len()].copy_from_slice(bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn only_a_connection_gone_before_any_reply_byte_is_stale() {
+        let clock = SystemClock::new();
+        let run = |send_fails, reads: &[&'static str], then| {
+            let reads = reads.to_vec();
+            let mut conn = Scripted {
+                send_fails,
+                reads,
+                then,
+            };
+            let mut buf = Vec::new();
+            let reply = Duration::from_millis(30);
+            let answer = send_and_read(&mut conn, &mut buf, &clock, "ask", reply);
+            (answer, buf)
+        };
+        let stale = |send_fails, reads, then| run(send_fails, reads, then).0.map_err(|e| e.stale);
+        assert_eq!(stale(true, &[], NetError::Closed), Err(true), "send");
+        assert_eq!(stale(false, &[], NetError::Closed), Err(true), "EOF");
+        assert_eq!(
+            stale(false, &["par"], NetError::Closed),
+            Err(false),
+            "partial"
+        );
+        assert_eq!(stale(false, &[], NetError::Timeout), Err(false), "timeout");
+        // A complete reply leaves whatever came past it in the buffer.
+        let (answer, buf) = run(false, &["one\ntw"], NetError::Closed);
+        assert_eq!(answer, Ok("one".to_string()));
+        assert_eq!(buf, b"tw");
     }
 
     #[test]

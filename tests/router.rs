@@ -378,6 +378,88 @@ fn a_hung_shards_walks_never_delay_another_connections_reply() {
     s1.shutdown();
 }
 
+/// A router over one single-replica shard that probes once, at start,
+/// and then not again while a test runs.
+#[allow(clippy::expect_used)] // test helper; a failure should abort the test
+fn quiet_router_over(shard: &str) -> lintra_serve::RouterHandle {
+    let router = start_router(RouterConfig {
+        probe_interval: Duration::from_secs(600),
+        ..router_over(vec![vec![shard.to_string()]])
+    })
+    .expect("router starts");
+    let addr = router.addr().to_string();
+    wait_for(
+        || {
+            shard_entries(&cluster_status(&addr))
+                .iter()
+                .all(|s| s.get("probed_healthy").and_then(Json::as_bool) == Some(true))
+        },
+        "the first probe round",
+    );
+    router
+}
+
+#[test]
+fn sequential_forwards_reuse_one_shard_connection() {
+    let shard = shard_server();
+    let router = quiet_router_over(&shard.addr().to_string());
+    let before = shard.stats().connections;
+    let client = Client::new(router.addr().to_string());
+    for i in 0..20 {
+        let resp = client
+            .request(&keyed_ping(&format!("reuse-{i}")))
+            .expect("transport");
+        assert!(resp.outcome.is_ok(), "{resp:?}");
+    }
+    let opened = shard.stats().connections - before;
+    assert!(opened <= 2, "20 forwards opened {opened} shard connections");
+    router.shutdown();
+    shard.shutdown();
+}
+
+#[test]
+fn a_forward_after_the_shard_restarts_reconnects_without_a_retry() {
+    let dir = std::env::temp_dir().join(format!("lintra-router-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = |addr: &str| {
+        start(ServerConfig {
+            addr: addr.to_string(),
+            jobs: Some(2),
+            journal_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("durable shard starts")
+    };
+    let sweep = |key: &str| {
+        let op = WireOp::Sweep {
+            design: "iir5".to_string(),
+            max_i: 4,
+        };
+        WireRequest::new(key, op).with_request_id(key).render_line()
+    };
+    let shard = durable("127.0.0.1:0");
+    let shard_addr = shard.addr().to_string();
+    let router = quiet_router_over(&shard_addr);
+    let addr = router.addr().to_string();
+    let first = raw_line(&addr, &sweep("restart-1"));
+    let resp = WireResponse::parse(&first).expect("response parses");
+    assert!(resp.outcome.is_ok(), "{resp:?}");
+
+    // The router's idle connection now leads to a closed socket.
+    shard.shutdown();
+    let shard = durable(&shard_addr);
+    let resp = WireResponse::parse(&raw_line(&addr, &sweep("restart-2"))).expect("parses");
+    assert!(resp.outcome.is_ok(), "{resp:?}");
+    let (_requests, _forwarded, retries, _shed, _down, _hedges, _wins) = router.stats();
+    assert_eq!(retries, 0, "the stale connection cost no budgeted retry");
+    // The restarted shard recovered the first key from its journal.
+    assert_eq!(raw_line(&addr, &sweep("restart-1")), first);
+
+    router.shutdown();
+    shard.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn garbage_gets_val_malformed_from_the_router_itself() {
     let live = shard_server();
