@@ -13,11 +13,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lintra::engine::{CacheStats, SweepCache, ThreadPool};
 use lintra::linsys::count::{op_count, TrivialityRule};
+use lintra::linsys::StateSpace;
+use lintra::matrix::rng::SplitMix64;
 use lintra::mcm::{synthesize, McmSolution};
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, TechConfig};
 use lintra::power::VoltageModel;
-use lintra::suite::{suite, Design};
+use lintra::suite::{random_stable, suite, Design};
 use lintra::transform::mcm_pass::constant_groups;
 use lintra::LintraError;
 
@@ -101,6 +103,17 @@ pub struct Table4Row {
 pub struct EgraphRow {
     /// The design.
     pub name: &'static str,
+    /// The saturation result (carries the fixed-script baseline in
+    /// `result.script`).
+    pub result: saturate::SaturateResult,
+}
+
+/// One row of the synthetic e-graph comparison: a seeded random stable
+/// design and the e-graph search over it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EgraphSynthRow {
+    /// Dimensions `(P, Q, R)`.
+    pub dims: (usize, usize, usize),
     /// The saturation result (carries the fixed-script baseline in
     /// `result.script`).
     pub result: saturate::SaturateResult,
@@ -347,6 +360,60 @@ pub fn egraph_rows_engine(
             result: saturate::optimize_cached(&d.system, &tech, &cfg, cache)?,
         })
     })
+}
+
+/// `n` seeded synthetic designs, drawn as one pass of `lintra-benchmark`'s
+/// `synth_egraph` workload draws them: shapes cycle through
+/// `P, Q ∈ {1, 2}` and `R ∈ [4, 12]`, sparsity is stratified over
+/// `[0.3, 0.7]`, and `rng` draws the rest. A fresh `SplitMix64::new(s)`
+/// gives the first pass of the workload's seed `s`.
+pub fn synth_designs(rng: &mut SplitMix64, n: usize) -> Vec<StateSpace> {
+    (0..n)
+        .map(|k| {
+            let sparsity = 0.3 + 0.4 * (k as f64 + rng.next_f64()) / n as f64;
+            random_stable(
+                1 + k % 2,
+                1 + (k / 2) % 2,
+                4 + k % 9,
+                sparsity,
+                rng.next_u64(),
+            )
+        })
+        .collect()
+}
+
+/// The equality-saturation strategy over each of `designs`, each from a
+/// cold [`SweepCache`] with the default saturation settings, as
+/// `synth_egraph` runs it. Rows come back in `designs` order at every
+/// worker count.
+///
+/// # Errors
+///
+/// The first failing design's error, in `designs` order, naming its
+/// index; a worker panic is a resource-class error.
+pub fn egraph_synth_rows(
+    designs: &[StateSpace],
+    initial_voltage: f64,
+    pool: &ThreadPool,
+) -> Result<Vec<EgraphSynthRow>, LintraError> {
+    let tech = TechConfig::dac96(initial_voltage);
+    let cfg = saturate::SaturateConfig::default();
+    let results = pool.map(designs.iter().collect(), |sys| {
+        let result = saturate::optimize_cached(sys, &tech, &cfg, &mut SweepCache::new(sys))?;
+        Ok::<_, LintraError>(EgraphSynthRow {
+            dims: sys.dims(),
+            result,
+        })
+    });
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(k, res)| {
+            res.map_err(LintraError::from)
+                .and_then(|r| r)
+                .map_err(|e| e.context(format!("synthetic design {k}")))
+        })
+        .collect()
 }
 
 /// Every distinct MCM instance of the §5 script over the suite: per

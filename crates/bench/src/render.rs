@@ -5,7 +5,7 @@
 //! looks like" is defined exactly once — a formatting drift in a binary
 //! can no longer diverge from the committed golden files.
 
-use crate::{mean, median, EgraphRow, McmPlanRow, Table2Row, Table3Row, Table4Row};
+use crate::{mean, median, EgraphRow, EgraphSynthRow, McmPlanRow, Table2Row, Table3Row, Table4Row};
 use lintra::engine::crc32;
 use lintra::opt::single::UnfoldingOutcome;
 use std::fmt::Write as _;
@@ -175,6 +175,34 @@ pub fn render_egraph(rows: &[EgraphRow], v0: f64) -> String {
             out,
             "{:<9} i={} V={:?} | {} | optimized {:?} J, script {:?} J, vs script x{:.6}",
             row.name,
+            r.unfolding,
+            r.voltage,
+            r.stats,
+            r.optimized.total_j(),
+            r.script.total_j(),
+            r.vs_script(),
+        );
+    }
+    out
+}
+
+/// Renders the synthetic e-graph designs as the `egraph_synth` binary
+/// prints them: one line per design with its index, shape, unfolding,
+/// operating voltage, saturation outcome and the exact optimized and
+/// script energies per sample, in the format of [`render_egraph`]. The
+/// header names the seed and voltage the rows were drawn at.
+pub fn render_egraph_synth(rows: &[EgraphSynthRow], seed: u64, v0: f64) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "E-graph synthetic designs: the first synth_egraph pass of seed {seed} (initial V = {v0})"
+    );
+    for (k, row) in rows.iter().enumerate() {
+        let r = &row.result;
+        let (p, q, rr) = row.dims;
+        let _ = writeln!(
+            out,
+            "{k:>2} P={p} Q={q} R={rr:<2} i={} V={:?} | {} | optimized {:?} J, script {:?} J, vs script x{:.6}",
             r.unfolding,
             r.voltage,
             r.stats,
