@@ -13,30 +13,39 @@ use crate::fx::FxHashMap;
 use crate::graph::{EGraph, ENode, Id, KIND_COUNT};
 use lintra_mcm::{quantize, synthesize, McmSolution, OutputRef, Recoding, Source, Term};
 
-/// Per-saturation scratch state for the per-node rule arms.
+/// Per-saturation scratch state for the rules, so that applying one
+/// allocates nothing once the buffers have grown.
 ///
 /// Rules read one level down (a node plus the nodes of one child class)
 /// while mutating the e-graph, so each arm snapshots the child's nodes
-/// first; `left` and `right` make that snapshot allocation-free across
-/// the whole saturation run. Two buffers because the factoring direction
-/// of [`Rule::MulDistribute`] holds both operands' snapshots at once.
+/// first; `left` and `right` hold those snapshots. Two buffers because the
+/// factoring direction of [`Rule::MulDistribute`] holds both operands'
+/// snapshots at once.
 ///
 /// `csd_plans` memoizes [`Rule::CsdDecompose`]'s single-constant
 /// syntheses by recoding and quantized constant: unfolded designs carry
 /// the same coefficient on every sample, and the arm revisits each
-/// multiplier on every sweep.
+/// multiplier on every sweep. `mcm_plans` memoizes [`Rule::McmShare`]'s
+/// shared plans by constant set across the sweeps of one run (unfolded
+/// designs repeat the same constant groups every sample); `muls` and
+/// `mcm_key` are that sweep's grouping and lookup buffers. `exprs` is
+/// the [`CsdEmitter`]'s per-plan state.
 #[derive(Debug, Default)]
 pub(crate) struct RuleScratch {
     left: Vec<ENode>,
     right: Vec<ENode>,
     csd_plans: CsdPlanMemo,
+    mcm_plans: McmPlanMemo,
+    muls: Vec<(Id, i64, Id)>,
+    mcm_key: (Recoding, Vec<i64>),
+    exprs: Vec<ExprNode>,
 }
 
 /// Snapshots class `c`'s nodes into `buf` and returns them as a slice the
 /// caller can iterate while freely mutating the e-graph.
 fn snap<'s>(buf: &'s mut Vec<ENode>, eg: &EGraph, c: Id) -> &'s [ENode] {
     buf.clear();
-    buf.extend_from_slice(eg.class_nodes(c));
+    buf.extend(eg.class_nodes(c).copied());
     buf
 }
 
@@ -332,8 +341,7 @@ impl Rule {
                 // quantized script realization stays unreachable.
                 let dequant = quantize(c, *frac_bits) as f64 * (-f64::from(*frac_bits)).exp2();
                 if c.is_finite() && !(pow2_exponent(c.abs()).is_some() && dequant == c) {
-                    let plans = &mut scratch.csd_plans;
-                    if let Some(n) = csd_network(eg, a, c, *frac_bits, *recoding, plans) {
+                    if let Some(n) = csd_network(eg, a, c, *frac_bits, *recoding, scratch) {
                         merged = eg.union(class, n);
                     }
                 }
@@ -547,7 +555,6 @@ fn linear_of_class(eg: &EGraph, c: Id, memo: &mut [Linear]) -> (Dyadic, Id) {
 /// `true` when the class contains a literal zero of either sign.
 fn has_zero(eg: &EGraph, a: Id) -> bool {
     eg.class_nodes(a)
-        .iter()
         .any(|n| matches!(n, ENode::Const(bits) if f64::from_bits(*bits) == 0.0))
 }
 
@@ -567,24 +574,26 @@ fn pow2_exponent(a: f64) -> Option<i32> {
 /// Emits the shift-add network for `round(c·2^w)·x ≫ w` into the e-graph,
 /// mirroring the MCM pass's `GroupEmitter` chain exactly (so an injected
 /// §5 graph hashconses onto the same e-nodes). The single-constant plan
-/// comes from `plans`, synthesized on first use. Returns `None` when the
-/// synthesized plan is unevaluable (defensive; a correct plan never is).
+/// comes from `scratch`'s memo, synthesized on first use. Returns `None`
+/// when the synthesized plan is unevaluable (defensive; a correct plan
+/// never is).
 fn csd_network(
     eg: &mut EGraph,
     base: Id,
     c: f64,
     frac_bits: u32,
     recoding: Recoding,
-    plans: &mut CsdPlanMemo,
+    scratch: &mut RuleScratch,
 ) -> Option<Id> {
     let q = quantize(c, frac_bits);
     if q == 0 {
         return Some(eg.add(ENode::Const(0.0f64.to_bits())));
     }
-    let plan = plans
+    let plan = scratch
+        .csd_plans
         .entry((recoding, q))
         .or_insert_with(|| synthesize(&[q], recoding));
-    CsdEmitter::new(plan).output_node(eg, base, 0, frac_bits)
+    CsdEmitter::new(plan, &mut scratch.exprs).output_node(eg, base, 0, frac_bits)
 }
 
 /// Largest constant group [`mcm_share_sweep`] synthesizes a shared plan
@@ -609,31 +618,40 @@ fn mcm_share_sweep(
     eg: &mut EGraph,
     frac_bits: u32,
     recoding: Recoding,
-    plans: &mut McmPlanMemo,
+    scratch: &mut RuleScratch,
 ) -> bool {
     let before = eg.len();
-    // Analysis phase (read-only): group multiplier e-nodes by canonical
-    // base class.
-    let mut groups: FxHashMap<Id, Vec<(i64, Id)>> = FxHashMap::default();
+    let RuleScratch {
+        mcm_plans,
+        muls,
+        mcm_key,
+        exprs,
+        ..
+    } = scratch;
+    // Analysis phase (read-only): every finite multiplier as (canonical
+    // base class, quantized constant, its class), grouped by base with a
+    // stable sort, so each group keeps the live-class order.
+    muls.clear();
     for (c, nodes) in eg.live_classes() {
         for node in nodes {
             if let ENode::MulConst(bits, b) = *node {
                 let v = f64::from_bits(bits);
                 if v.is_finite() {
-                    groups
-                        .entry(eg.find(b))
-                        .or_default()
-                        .push((quantize(v, frac_bits), c));
+                    muls.push((eg.find(b), quantize(v, frac_bits), c));
                 }
             }
         }
     }
-    let mut groups: Vec<(Id, Vec<(i64, Id)>)> = groups.into_iter().collect();
-    groups.sort_unstable_by_key(|(base, _)| *base);
+    muls.sort_by_key(|&(base, _, _)| base);
     // Emission phase: one shared plan per group, one output per multiplier.
     let mut merged = false;
-    for (base, muls) in groups {
-        let mut consts: Vec<i64> = muls.iter().map(|&(q, _)| q).collect();
+    for group in muls.chunk_by(|x, y| x.0 == y.0) {
+        let Some(&(base, _, _)) = group.first() else {
+            continue;
+        };
+        let consts = &mut mcm_key.1;
+        consts.clear();
+        consts.extend(group.iter().map(|&(_, q, _)| q));
         consts.sort_unstable();
         consts.dedup();
         // Perf guard: a group this wide never comes from a source graph —
@@ -646,12 +664,17 @@ fn mcm_share_sweep(
         if consts.len() > MAX_GROUP_CONSTS {
             continue;
         }
-        let plan = plans
-            .entry((recoding, consts.clone()))
-            .or_insert_with(|| synthesize(&consts, recoding));
-        let mut em = CsdEmitter::new(plan);
-        for (q, class) in muls {
-            let Ok(idx) = consts.binary_search(&q) else {
+        mcm_key.0 = recoding;
+        if !mcm_plans.contains_key(mcm_key) {
+            let plan = synthesize(&mcm_key.1, recoding);
+            mcm_plans.insert(mcm_key.clone(), plan);
+        }
+        let Some(plan) = mcm_plans.get(mcm_key) else {
+            continue;
+        };
+        let mut em = CsdEmitter::new(plan, exprs);
+        for &(_, q, class) in group {
+            let Ok(idx) = mcm_key.1.binary_search(&q) else {
                 continue;
             };
             if let Some(out) = em.output_node(eg, base, idx, frac_bits) {
@@ -662,22 +685,31 @@ fn mcm_share_sweep(
     merged || eg.len() > before
 }
 
-/// E-graph twin of the MCM pass's `GroupEmitter`: lazily materialized plan
-/// expressions with an in-progress guard instead of a panic on reference
-/// cycles. Borrows its plan from the memo that holds it.
-struct CsdEmitter<'p> {
-    plan: &'p McmSolution,
-    expr_nodes: Vec<Option<Id>>,
-    in_progress: Vec<bool>,
+/// How far a [`CsdEmitter`] got with one plan expression.
+#[derive(Debug, Clone, Copy)]
+enum ExprNode {
+    /// Not emitted yet.
+    Pending,
+    /// Being emitted; meeting it again means a reference cycle.
+    Open,
+    /// Emitted as this e-class.
+    Done(Id),
 }
 
-impl<'p> CsdEmitter<'p> {
-    fn new(plan: &'p McmSolution) -> CsdEmitter<'p> {
-        CsdEmitter {
-            expr_nodes: vec![None; plan.exprs.len()],
-            in_progress: vec![false; plan.exprs.len()],
-            plan,
-        }
+/// E-graph twin of the MCM pass's `GroupEmitter`: lazily materialized plan
+/// expressions with an in-progress guard instead of a panic on reference
+/// cycles. Borrows its plan from the memo that holds it and its per-expression
+/// state from the rules' scratch.
+struct CsdEmitter<'a> {
+    plan: &'a McmSolution,
+    exprs: &'a mut Vec<ExprNode>,
+}
+
+impl<'a> CsdEmitter<'a> {
+    fn new(plan: &'a McmSolution, exprs: &'a mut Vec<ExprNode>) -> CsdEmitter<'a> {
+        exprs.clear();
+        exprs.resize(plan.exprs.len(), ExprNode::Pending);
+        CsdEmitter { plan, exprs }
     }
 
     /// Emits `q·base` for the plan's `idx`-th output, folding the plan
@@ -721,13 +753,12 @@ impl<'p> CsdEmitter<'p> {
     }
 
     fn expr_node(&mut self, eg: &mut EGraph, base: Id, idx: usize) -> Option<Id> {
-        if let Some(n) = self.expr_nodes[idx] {
-            return Some(n);
+        match self.exprs[idx] {
+            ExprNode::Done(n) => return Some(n),
+            ExprNode::Open => return None,
+            ExprNode::Pending => {}
         }
-        if self.in_progress[idx] {
-            return None;
-        }
-        self.in_progress[idx] = true;
+        self.exprs[idx] = ExprNode::Open;
         let plan = self.plan;
         let mut acc: Option<(Id, bool)> = None;
         for t in &plan.exprs[idx].terms {
@@ -747,8 +778,7 @@ impl<'p> CsdEmitter<'p> {
             None => (eg.add(ENode::Const(0.0f64.to_bits())), false),
         };
         let node = if neg { eg.add(ENode::Neg(node)) } else { node };
-        self.in_progress[idx] = false;
-        self.expr_nodes[idx] = Some(node);
+        self.exprs[idx] = ExprNode::Done(node);
         Some(node)
     }
 }
@@ -891,10 +921,8 @@ impl RuleSet {
     /// per-node pass). [`Rule::CollectLinear`] lives here because its
     /// bottom-up analysis shares one memo across the whole e-graph;
     /// [`Rule::McmShare`] because MCM grouping is inherently a property
-    /// of the whole graph, not of one e-node. `plans` memoizes shared-MCM
-    /// syntheses by constant set across the sweeps of one saturation run
-    /// (unfolded designs repeat the same constant groups every sample).
-    pub(crate) fn sweep(&self, eg: &mut EGraph, plans: &mut McmPlanMemo) -> bool {
+    /// of the whole graph, not of one e-node.
+    pub(crate) fn sweep(&self, eg: &mut EGraph, scratch: &mut RuleScratch) -> bool {
         let mut changed = false;
         for rule in &self.rules {
             match rule {
@@ -902,7 +930,7 @@ impl RuleSet {
                 Rule::McmShare {
                     frac_bits,
                     recoding,
-                } => changed |= mcm_share_sweep(eg, *frac_bits, *recoding, plans),
+                } => changed |= mcm_share_sweep(eg, *frac_bits, *recoding, scratch),
                 _ => {}
             }
         }
@@ -912,7 +940,7 @@ impl RuleSet {
 
 /// Memoized shared-MCM plans, keyed by the recoding and the sorted,
 /// deduplicated quantized constant set — the full input to [`synthesize`].
-pub(crate) type McmPlanMemo = FxHashMap<(Recoding, Vec<i64>), McmSolution>;
+type McmPlanMemo = FxHashMap<(Recoding, Vec<i64>), McmSolution>;
 
 /// Memoized single-constant plans for [`Rule::CsdDecompose`], keyed by the
 /// recoding and the quantized constant.
@@ -1096,10 +1124,10 @@ mod tests {
             frac_bits: 8,
             recoding: Recoding::Csd,
         };
-        let before = eg.class_nodes(m).len();
+        let before = eg.class_nodes(m).count();
         saturate_single(&mut eg, rule);
         assert!(
-            eg.class_nodes(m).len() > before,
+            eg.class_nodes(m).count() > before,
             "decomposition should add a representative to the multiplier's class"
         );
     }
@@ -1116,7 +1144,7 @@ mod tests {
         let n = eg.len();
         saturate_single(&mut eg, rule);
         assert_eq!(eg.len(), n, "±2^k is MulPow2's job");
-        assert_eq!(eg.class_nodes(m).len(), 1);
+        assert_eq!(eg.class_nodes(m).count(), 1);
     }
 
     #[test]
@@ -1198,7 +1226,6 @@ mod tests {
         // stay its own class with no multiplier hub.
         assert!(eg
             .class_nodes(sum)
-            .iter()
             .all(|n| !matches!(n, ENode::MulConst(..))));
     }
 
