@@ -138,22 +138,30 @@ pub struct McmPlanRow {
 /// unfolding factor.
 pub type SweepRow = Vec<(u32, f64, f64)>;
 
+/// One point of an unfolding sweep: `(i, muls/sample, adds/sample)` of
+/// the design unfolded `i` times, served by its incremental
+/// [`SweepCache`]. The CLI's `sweep`, the served sweep and
+/// [`unfold_sweep_cached`] all compute their rows here.
+///
+/// # Errors
+///
+/// Propagates unfolding failures (unstable system).
+pub fn unfold_sweep_point(i: u32, cache: &mut SweepCache) -> Result<(u32, f64, f64), LintraError> {
+    let u = cache.unfolded(i)?;
+    let c = op_count(&u.system, TrivialityRule::ZeroOne);
+    let n = f64::from(i) + 1.0;
+    Ok((i, c.muls as f64 / n, c.adds as f64 / n))
+}
+
 /// The §2 phenomenon: per-sample operation counts of one design across an
-/// unfolding sweep (`(i, muls/sample, adds/sample)`), every step served by
-/// the design's incremental [`SweepCache`].
+/// unfolding sweep, one [`unfold_sweep_point`] per unfolding factor
+/// `0..=max_i`.
 ///
 /// # Errors
 ///
 /// Propagates unfolding failures (unstable system).
 pub fn unfold_sweep_cached(max_i: u32, cache: &mut SweepCache) -> Result<SweepRow, LintraError> {
-    let mut out = Vec::new();
-    for i in 0..=max_i {
-        let u = cache.unfolded(i)?;
-        let c = op_count(&u.system, TrivialityRule::ZeroOne);
-        let n = (i + 1) as f64;
-        out.push((i, c.muls as f64 / n, c.adds as f64 / n));
-    }
-    Ok(out)
+    (0..=max_i).map(|i| unfold_sweep_point(i, cache)).collect()
 }
 
 /// One persistent [`SweepCache`] per suite design, shared across the

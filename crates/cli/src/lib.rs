@@ -10,7 +10,9 @@ use lintra::suite::{by_name, suite, Design};
 use lintra::{ErrorClass, LintraError};
 use lintra_bench::render::{render_table2, render_table3, render_table4};
 use lintra_bench::wire::{WireFailure, WireOp, WireRequest};
-use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, SuiteCaches};
+use lintra_bench::{
+    table2_rows_engine, table3_rows_engine, table4_rows_engine, unfold_sweep_cached, SuiteCaches,
+};
 use lintra_serve::{signal, Client, RetryPolicy, RouterConfig, ServerConfig};
 use std::fmt;
 use std::io::Write;
@@ -110,19 +112,24 @@ fn parse_f64(args: &[String], name: &str, default: f64) -> Result<f64, CliError>
     }
 }
 
-fn parse_usize(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
+/// Parses an integer flag (`None` when the flag is absent). A value that
+/// does not fit `T` is a usage error, never a wrapped-around value.
+fn parse_int<T>(args: &[String], name: &str) -> Result<Option<T>, CliError>
+where
+    T: std::str::FromStr<Err = std::num::ParseIntError>,
+{
     match flag_value(args, name) {
         None => Ok(None),
         Some(v) => v
             .parse()
             .map(Some)
-            .map_err(|_| usage(format!("{name} expects an integer, got `{v}`"))),
+            .map_err(|e| usage(format!("{name} expects an integer, got `{v}` ({e})"))),
     }
 }
 
 /// Parses `--jobs N` into a worker pool (`None` when the flag is absent).
 fn parse_jobs(args: &[String]) -> Result<Option<ThreadPool>, CliError> {
-    match parse_usize(args, "--jobs")? {
+    match parse_int(args, "--jobs")? {
         None => Ok(None),
         Some(0) => Err(usage("--jobs expects a positive worker count, got `0`")),
         Some(n) => Ok(Some(ThreadPool::new(n))),
@@ -281,7 +288,7 @@ fn cmd_optimize(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         Strategy::Multi => {
             // A zero processor count flows through as a classified
             // resource error (exit code 4) rather than a usage error.
-            let selection = match parse_usize(args, "--processors")? {
+            let selection = match parse_int(args, "--processors")? {
                 Some(n) => ProcessorSelection::SearchBest { max: n },
                 None => ProcessorSelection::StatesCount,
             };
@@ -343,16 +350,11 @@ fn cmd_optimize(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
 fn cmd_sweep(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let d = design_arg(args)?;
-    let max = parse_usize(args, "--max")?.unwrap_or(16) as u32;
+    let max = parse_int(args, "--max")?.unwrap_or(16);
+    writeln!(out, "i,muls_per_sample,adds_per_sample,total")?;
     // Incremental unfolding: step i -> i+1 reuses the A^i / [A^{i-1}B|...]
     // prefixes instead of re-unfolding from scratch (bit-identical counts).
-    let mut cache = SweepCache::new(&d.system);
-    writeln!(out, "i,muls_per_sample,adds_per_sample,total")?;
-    for i in 0..=max {
-        let u = cache.unfolded(i)?;
-        let c = op_count(&u.system, TrivialityRule::ZeroOne);
-        let n = (i + 1) as f64;
-        let (m, a) = (c.muls as f64 / n, c.adds as f64 / n);
+    for (i, m, a) in unfold_sweep_cached(max, &mut SweepCache::new(&d.system))? {
         writeln!(out, "{i},{m:.2},{a:.2},{:.2}", m + a)?;
     }
     Ok(())
@@ -451,11 +453,11 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:0")
             .to_string(),
-        jobs: parse_usize(args, "--jobs")?,
+        jobs: parse_int(args, "--jobs")?,
         chaos: args.iter().any(|a| a == "--chaos"),
         ..ServerConfig::default()
     };
-    if let Some(n) = parse_usize(args, "--max-inflight")? {
+    if let Some(n) = parse_int(args, "--max-inflight")? {
         config.max_inflight = n;
     }
     if let Some(ms) = parse_millis(args, "--deadline-ms")? {
@@ -605,13 +607,13 @@ fn cmd_route(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if let Some(ms) = parse_millis(args, "--hedge-min-ms")? {
         config.hedge_min = Duration::from_millis(ms);
     }
-    if let Some(n) = parse_usize(args, "--retry-ratio-milli")? {
-        config.retry_ratio_milli = n as u64;
+    if let Some(n) = parse_int(args, "--retry-ratio-milli")? {
+        config.retry_ratio_milli = n;
     }
-    if let Some(n) = parse_usize(args, "--retry-cap")? {
-        config.retry_cap = n as u64;
+    if let Some(n) = parse_int(args, "--retry-cap")? {
+        config.retry_cap = n;
     }
-    if let Some(n) = parse_usize(args, "--vnodes")? {
+    if let Some(n) = parse_int(args, "--vnodes")? {
         config.vnodes = n;
     }
     let shard_count = config.shards.len();
@@ -723,11 +725,11 @@ fn cmd_request(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 .name()
                 .to_string(),
             v0: parse_f64(args, "--v0", 3.3)?,
-            processors: parse_usize(args, "--processors")?,
+            processors: parse_int(args, "--processors")?,
         },
         "sweep" => WireOp::Sweep {
             design: design_name()?,
-            max_i: parse_usize(args, "--max")?.unwrap_or(16) as u32,
+            max_i: parse_int(args, "--max")?.unwrap_or(16),
         },
         "tables" => WireOp::Tables {
             v0: parse_f64(args, "--v0", 3.3)?,
@@ -741,7 +743,7 @@ fn cmd_request(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         req = req.with_request_id(rid);
     }
 
-    let retries = parse_usize(args, "--retries")?.unwrap_or(3).max(1) as u32;
+    let retries = parse_int(args, "--retries")?.unwrap_or(3).max(1);
     let client = Client::with_policy(
         addr,
         RetryPolicy {
@@ -804,44 +806,64 @@ fn cmd_recover(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `lintra sim`: deterministic simulation of the replicated cluster —
-/// one seed, a fixed swarm (`--swarm K`), or a wall-clock-budgeted
-/// swarm (`--seconds S`). Every run is a pure function of
-/// `(seed, config)`; a violated invariant prints the seed plus the
-/// compact fault-schedule trace and exits 5 with `CNV-SIM-INVARIANT`.
+/// `lintra sim`: deterministic simulation of the replicated cluster, or
+/// with `--shards` of the sharded router — one seed, a fixed swarm
+/// (`--swarm K`), or a wall-clock-budgeted swarm (`--seconds S`). Every
+/// run is a pure function of `(seed, config)`; a violated invariant
+/// prints the seed plus the compact fault-schedule trace and exits 5
+/// with `CNV-SIM-INVARIANT`, naming the command that replays it.
 fn cmd_sim(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use lintra_sim::{run_sim, SimBug, SimConfig};
+    use lintra_sim::{run_shard_sim, run_sim};
 
     if flag_value(args, "--shards").is_some() {
-        return cmd_sim_shards(args, out);
+        let config = shard_sim_config(args)?;
+        sim_swarm(args, out, |seed| {
+            let r = run_shard_sim(seed, &config);
+            SeedRun {
+                counters: format!(
+                    "{} events, {} settled, {} forwarded, {} retries, {} hedges, \
+                     {} shed, {} shard-down, {} promotions",
+                    r.events,
+                    r.settled,
+                    r.forwarded,
+                    r.retries,
+                    r.hedges,
+                    r.shed,
+                    r.shard_down,
+                    r.promotions
+                ),
+                violations: r.violations,
+                trace: r.trace,
+            }
+        })
+    } else {
+        let config = cluster_sim_config(args)?;
+        sim_swarm(args, out, |seed| {
+            let r = run_sim(seed, &config);
+            SeedRun {
+                counters: format!(
+                    "{} events, {} settled, {} deduped, {} promotions, {} fences",
+                    r.events, r.settled, r.deduped, r.promotions, r.fences
+                ),
+                violations: r.violations,
+                trace: r.trace,
+            }
+        })
     }
+}
 
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, CliError> {
-        match flag_value(args, name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| usage(format!("{name} expects an integer, got `{v}`"))),
-        }
-    };
-    let first = parse_u64("--seed", 1)?;
-    let swarm = parse_u64("--swarm", 1)?.max(1);
-    let seconds = match flag_value(args, "--seconds") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| usage(format!("--seconds expects a wall-clock budget, got `{v}`")))?,
-        ),
-    };
-    let trace = args.iter().any(|a| a == "--trace");
+/// The replicated-cluster simulation's flags.
+fn cluster_sim_config(args: &[String]) -> Result<lintra_sim::SimConfig, CliError> {
+    use lintra_sim::{SimBug, SimConfig};
+
     let mut config = SimConfig::default();
-    if let Some(n) = parse_usize(args, "--nodes")? {
+    if let Some(n) = parse_int(args, "--nodes")? {
         if n < 2 {
             return Err(usage("--nodes expects a cluster of at least 2"));
         }
         config.nodes = n;
     }
-    if let Some(n) = parse_usize(args, "--clients")? {
+    if let Some(n) = parse_int(args, "--clients")? {
         config.clients = n;
     }
     if let Some(ms) = parse_millis(args, "--sim-ms")? {
@@ -858,107 +880,39 @@ fn cmd_sim(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             }
         };
     }
-
-    let started = std::time::Instant::now();
-    let mut first_failure: Option<lintra_sim::SimReport> = None;
-    let mut ran = 0u64;
-    for seed in first..first.saturating_add(swarm) {
-        if let Some(budget) = seconds {
-            if started.elapsed().as_secs_f64() >= budget {
-                break;
-            }
-        }
-        let report = run_sim(seed, &config);
-        ran += 1;
-        writeln!(
-            out,
-            "seed {:>6} {} — {} events, {} settled, {} deduped, {} promotions, {} fences",
-            report.seed,
-            if report.passed() { "PASS" } else { "FAIL" },
-            report.events,
-            report.settled,
-            report.deduped,
-            report.promotions,
-            report.fences
-        )?;
-        if trace || !report.passed() {
-            for line in &report.trace {
-                writeln!(out, "  {line}")?;
-            }
-        }
-        if !report.passed() && first_failure.is_none() {
-            first_failure = Some(report);
-        }
-    }
-    writeln!(
-        out,
-        "{ran} seed(s) simulated in {:.2}s wall clock",
-        started.elapsed().as_secs_f64()
-    )?;
-    if let Some(report) = first_failure {
-        return Err(CliError::Remote(WireFailure {
-            class: ErrorClass::Convergence,
-            code: "CNV-SIM-INVARIANT".to_string(),
-            message: format!(
-                "seed {} violated {} invariant(s): {}; reproduce with `lintra sim --seed {} --trace`",
-                report.seed,
-                report.violations.len(),
-                report.violations.join("; "),
-                report.seed
-            ),
-        }));
-    }
-    Ok(())
+    Ok(config)
 }
 
-/// `sim --shards`: the sharded-router simulation — M replicated shard
-/// groups behind the router core `route` runs, under virtual time.
-fn cmd_sim_shards(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
-    use lintra_sim::{run_shard_sim, RouterSimBug, ShardScenario, ShardSimConfig};
+/// `sim --shards`: the sharded-router simulation's flags — M replicated
+/// shard groups behind the router core `route` runs, under virtual time.
+fn shard_sim_config(args: &[String]) -> Result<lintra_sim::ShardSimConfig, CliError> {
+    use lintra_sim::{RouterSimBug, ShardScenario, ShardSimConfig};
 
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, CliError> {
-        match flag_value(args, name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| usage(format!("{name} expects an integer, got `{v}`"))),
-        }
-    };
-    let first = parse_u64("--seed", 1)?;
-    let swarm = parse_u64("--swarm", 1)?.max(1);
-    let seconds = match flag_value(args, "--seconds") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| usage(format!("--seconds expects a wall-clock budget, got `{v}`")))?,
-        ),
-    };
-    let trace = args.iter().any(|a| a == "--trace");
     let mut config = ShardSimConfig {
         // Long enough a queue that clients are still sending when the
         // scenario fault lands at 1/8 of the run.
         requests_per_client: 16,
         ..ShardSimConfig::default()
     };
-    if let Some(g) = parse_usize(args, "--shards")? {
+    if let Some(g) = parse_int(args, "--shards")? {
         if g < 2 {
             return Err(usage("--shards expects at least 2 shard groups"));
         }
         config.groups = g;
     }
-    if let Some(r) = parse_usize(args, "--replicas")? {
+    if let Some(r) = parse_int::<usize>(args, "--replicas")? {
         config.nodes_per_group = r.max(1);
     }
-    if let Some(c) = parse_usize(args, "--clients")? {
+    if let Some(c) = parse_int(args, "--clients")? {
         config.clients = c;
     }
-    if let Some(n) = parse_usize(args, "--requests")? {
+    if let Some(n) = parse_int(args, "--requests")? {
         config.requests_per_client = n;
     }
     if let Some(ms) = parse_millis(args, "--sim-ms")? {
         config.sim_ms = ms.max(100);
     }
-    let group = parse_usize(args, "--group")?.unwrap_or(0);
+    let group = parse_int(args, "--group")?.unwrap_or(0);
     if let Some(s) = flag_value(args, "--scenario") {
         config.scenario = match s {
             "none" => ShardScenario::None,
@@ -982,9 +936,42 @@ fn cmd_sim_shards(args: &[String], out: &mut impl Write) -> Result<(), CliError>
             }
         };
     }
+    Ok(config)
+}
+
+/// One simulated seed, as the swarm loop prints and judges it.
+struct SeedRun {
+    /// The counters printed after the seed's verdict.
+    counters: String,
+    /// Invariant violations, in detection order. Empty means PASS.
+    violations: Vec<String>,
+    /// The compact fault-schedule trace.
+    trace: Vec<String>,
+}
+
+/// The swarm loop both simulations share: runs `run_seed` over the seed
+/// range (`--seed`, `--swarm`) until the optional `--seconds` budget is
+/// spent, prints one line per seed (plus its trace when it failed or
+/// `--trace` is set), and turns the first failing seed into a
+/// `CNV-SIM-INVARIANT` failure whose repro replays that seed.
+fn sim_swarm(
+    args: &[String],
+    out: &mut impl Write,
+    run_seed: impl Fn(u64) -> SeedRun,
+) -> Result<(), CliError> {
+    let first = parse_int(args, "--seed")?.unwrap_or(1u64);
+    let swarm = parse_int(args, "--swarm")?.unwrap_or(1u64).max(1);
+    let seconds = match flag_value(args, "--seconds") {
+        None => None,
+        Some(v) => Some(
+            v.parse::<f64>()
+                .map_err(|_| usage(format!("--seconds expects a wall-clock budget, got `{v}`")))?,
+        ),
+    };
+    let trace = args.iter().any(|a| a == "--trace");
 
     let started = std::time::Instant::now();
-    let mut first_failure: Option<lintra_sim::ShardSimReport> = None;
+    let mut first_failure: Option<(u64, Vec<String>)> = None;
     let mut ran = 0u64;
     for seed in first..first.saturating_add(swarm) {
         if let Some(budget) = seconds {
@@ -992,30 +979,22 @@ fn cmd_sim_shards(args: &[String], out: &mut impl Write) -> Result<(), CliError>
                 break;
             }
         }
-        let report = run_shard_sim(seed, &config);
+        let run = run_seed(seed);
         ran += 1;
+        let passed = run.violations.is_empty();
         writeln!(
             out,
-            "seed {:>6} {} — {} events, {} settled, {} forwarded, {} retries, {} hedges, \
-             {} shed, {} shard-down, {} promotions",
-            report.seed,
-            if report.passed() { "PASS" } else { "FAIL" },
-            report.events,
-            report.settled,
-            report.forwarded,
-            report.retries,
-            report.hedges,
-            report.shed,
-            report.shard_down,
-            report.promotions
+            "seed {seed:>6} {} — {}",
+            if passed { "PASS" } else { "FAIL" },
+            run.counters
         )?;
-        if trace || !report.passed() {
-            for line in &report.trace {
+        if trace || !passed {
+            for line in &run.trace {
                 writeln!(out, "  {line}")?;
             }
         }
-        if !report.passed() && first_failure.is_none() {
-            first_failure = Some(report);
+        if !passed && first_failure.is_none() {
+            first_failure = Some((seed, run.violations));
         }
     }
     writeln!(
@@ -1023,22 +1002,44 @@ fn cmd_sim_shards(args: &[String], out: &mut impl Write) -> Result<(), CliError>
         "{ran} seed(s) simulated in {:.2}s wall clock",
         started.elapsed().as_secs_f64()
     )?;
-    if let Some(report) = first_failure {
+    if let Some((seed, violations)) = first_failure {
         return Err(CliError::Remote(WireFailure {
             class: ErrorClass::Convergence,
             code: "CNV-SIM-INVARIANT".to_string(),
             message: format!(
-                "seed {} violated {} invariant(s): {}; reproduce with \
-                 `lintra sim --shards {} --seed {} --trace`",
-                report.seed,
-                report.violations.len(),
-                report.violations.join("; "),
-                config.groups,
-                report.seed
+                "seed {seed} violated {} invariant(s): {}; reproduce with `{}`",
+                violations.len(),
+                violations.join("; "),
+                sim_repro(args, seed)
             ),
         }));
     }
     Ok(())
+}
+
+/// The command that replays `seed` alone, with its trace: every flag of
+/// the `sim` command line `args` except the swarm's `--swarm` and
+/// `--seconds`, with `--seed` set to `seed`.
+fn sim_repro(args: &[String], seed: u64) -> String {
+    let seed = seed.to_string();
+    let mut cmd = vec!["lintra", "sim", "--seed", &seed];
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        match arg {
+            "--trace" => {}
+            "--seed" | "--swarm" | "--seconds" => {
+                rest.next();
+            }
+            flag if flag.starts_with("--") => {
+                cmd.push(flag);
+                cmd.extend(rest.next());
+            }
+            // `sim` takes no positional arguments.
+            _ => {}
+        }
+    }
+    cmd.push("--trace");
+    cmd.join(" ")
 }
 
 #[cfg(test)]
@@ -1154,6 +1155,33 @@ mod tests {
         let out = run_ok(&["sweep", "chemical", "--max", "4"]);
         assert_eq!(out.lines().count(), 6); // header + 5 rows
         assert!(out.starts_with("i,muls_per_sample"));
+    }
+
+    #[test]
+    fn integers_that_do_not_fit_their_flag_are_usage_errors() {
+        // 2^32 and 2^32 + 2 once wrapped to a sweep of 0 and 0..=2.
+        for max in ["4294967296", "4294967298"] {
+            assert!(usage_msg(&["sweep", "chemical", "--max", max]).contains("--max"));
+            assert!(usage_msg(&[
+                "request",
+                "sweep",
+                "chemical",
+                "--addr",
+                "127.0.0.1:9",
+                "--max",
+                max
+            ])
+            .contains("--max"));
+        }
+        assert!(usage_msg(&[
+            "request",
+            "ping",
+            "--addr",
+            "127.0.0.1:9",
+            "--retries",
+            "4294967296"
+        ])
+        .contains("--retries"));
     }
 
     #[test]
@@ -1423,6 +1451,70 @@ mod tests {
         let out = String::from_utf8(buf).expect("utf8 output");
         assert!(out.contains("FAIL"), "{out}");
         assert!(out.contains("fault:"), "{out}");
+    }
+
+    /// Runs a `sim` command line that fails `seed`, then the repro its
+    /// failure names, and checks that the repro fails the same seed.
+    fn assert_printed_repro_reproduces(args: &[&str], seed: u64) {
+        let err = run_err(args);
+        assert_eq!(err.exit_code(), ErrorClass::Convergence.exit_code());
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("seed {seed} violated")), "{msg}");
+        let repro = msg
+            .rsplit_once("reproduce with `")
+            .and_then(|(_, r)| r.strip_suffix('`'))
+            .unwrap_or_else(|| panic!("no repro in {msg}"));
+        let argv: Vec<&str> = repro.split(' ').collect();
+        assert_eq!(argv[..2], ["lintra", "sim"], "{repro}");
+        let replay = run_err(&argv[1..]);
+        let replayed = replay.to_string();
+        assert!(replayed.contains("CNV-SIM-INVARIANT"), "{replayed}");
+        assert!(
+            replayed.contains(&format!("seed {seed} violated")),
+            "{replayed}"
+        );
+        assert!(
+            replayed.ends_with(&format!("reproduce with `{repro}`")),
+            "{replayed}"
+        );
+    }
+
+    #[test]
+    fn cluster_sim_repro_replays_the_failing_seed() {
+        assert_printed_repro_reproduces(
+            &[
+                "sim",
+                "--seed",
+                "10",
+                "--swarm",
+                "2",
+                "--seconds",
+                "600",
+                "--bug",
+                "colliding-epoch",
+            ],
+            10,
+        );
+    }
+
+    #[test]
+    fn shard_sim_repro_replays_the_failing_seed() {
+        assert_printed_repro_reproduces(
+            &[
+                "sim",
+                "--shards",
+                "2",
+                "--scenario",
+                "blackout",
+                "--group",
+                "1",
+                "--seed",
+                "7",
+                "--bug",
+                "unbounded-retries",
+            ],
+            7,
+        );
     }
 
     #[test]

@@ -33,7 +33,6 @@ use lintra_matrix::MatrixError;
 use lintra_mcm::VerifyMcmError;
 use lintra_opt::OptError;
 use lintra_power::{VoltageError, VoltageModelError};
-use lintra_sched::fds::FdsError;
 use lintra_sched::{ScheduleError, ValidateScheduleError};
 
 /// Coarse failure class of a [`LintraError`].
@@ -131,7 +130,6 @@ pub fn documented_codes() -> &'static [(&'static str, ErrorClass)] {
         ("VAL-MALFORMED-REQUEST", ErrorClass::Validation),
         ("VAL-FRAME-TOO-LARGE", ErrorClass::Validation),
         ("RES-NO-PROCESSORS", ErrorClass::Resource),
-        ("RES-LATENCY", ErrorClass::Resource),
         ("RES-WORKER-PANIC", ErrorClass::Resource),
         ("RES-WORKER-STALL", ErrorClass::Resource),
         ("RES-DEADLINE", ErrorClass::Resource),
@@ -341,12 +339,6 @@ impl From<ScheduleError> for LintraError {
 impl From<ValidateScheduleError> for LintraError {
     fn from(e: ValidateScheduleError) -> Self {
         LintraError::wrap(ErrorClass::Validation, "VAL-SCHEDULE", e)
-    }
-}
-
-impl From<FdsError> for LintraError {
-    fn from(e: FdsError) -> Self {
-        LintraError::wrap(ErrorClass::Resource, "RES-LATENCY", e)
     }
 }
 

@@ -782,7 +782,7 @@ impl EGraph {
     /// The engine is incremental where the naive loop rescans:
     ///
     /// * **Kind-indexed candidates** — pairs are enqueued with the rule
-    ///   mask for their operator kind ([`ENode::kind_ordinal`]), so leaf
+    ///   mask for their operator kind (`ENode::kind_ordinal`), so leaf
     ///   nodes never enter the queue and each pair dispatches only to
     ///   rules that can match it.
     /// * **Dirty-class worklist** — after the first full pass, only
@@ -1290,7 +1290,7 @@ enum Relaxation {
 /// Egg-style per-rule backoff. A rule that changes the e-graph more than
 /// `MATCH_LIMIT << times_banned` times in one iteration is banned for
 /// `BAN_LENGTH << times_banned` iterations, so an explosive rule (say,
-/// associativity on a deeply unfolded graph) can't starve the others
+/// CSD decomposition on a deeply unfolded graph) can't starve the others
 /// inside a small iteration budget. The limits are deliberately high:
 /// small graphs — everything the property harness and the differential
 /// tests saturate — never trip them, which keeps the scheduled engine
@@ -1370,6 +1370,7 @@ mod tests {
     use super::*;
     use crate::{RuleSet, SaturationBudget, StopReason};
     use lintra_dfg::{NodeKind, OpCountCost};
+    use lintra_mcm::Recoding;
 
     /// y = 0.75·x + s; s' = 0.5·s — a one-pole filter fragment.
     fn small_filter() -> Dfg {
@@ -1448,7 +1449,7 @@ mod tests {
         let g = small_filter();
         let (mut eg, roots) = EGraph::from_dfg(&g).unwrap();
         let stats = eg.saturate(
-            &RuleSet::extended(),
+            &RuleSet::asic(12, Recoding::Csd),
             &SaturationBudget {
                 max_enodes: usize::MAX,
                 max_iterations: 1,
@@ -1467,7 +1468,7 @@ mod tests {
         let (mut eg, roots) = EGraph::from_dfg(&g).unwrap();
         let n = eg.len();
         let stats = eg.saturate(
-            &RuleSet::extended(),
+            &RuleSet::asic(12, Recoding::Csd),
             &SaturationBudget {
                 max_enodes: n + 2,
                 max_iterations: 100,

@@ -13,11 +13,10 @@
 //! * [`Rule`] / [`RuleSet`] — the rewrite library in two tiers.
 //!   [`RuleSet::exact`] rules preserve every `f64` bit (commutativity,
 //!   `a−b ↔ a+(−b)`, `−(−x) → x`, `±1`-multiplier folding, power-of-two
-//!   multiplier ↔ shift, shift fusion, `x+0 → x`); the extended /
-//!   quantizing tiers add value-reassociating rules (associativity,
-//!   distributivity, multiplier fusion), the CSD shift-add
-//!   decomposition that reuses `lintra-mcm`'s recoding and carries the
-//!   same `round(c·2^w)/2^w` semantics as the §5 MCM pass,
+//!   multiplier ↔ shift, shift fusion, `x+0 → x`); the quantizing
+//!   [`RuleSet::asic`] tier adds the CSD shift-add decomposition that
+//!   reuses `lintra-mcm`'s recoding and carries the same
+//!   `round(c·2^w)/2^w` semantics as the §5 MCM pass,
 //!   [`Rule::McmShare`], which replays the §5 shared-MCM synthesis over
 //!   base-class multiplier groups so cross-constant sharing is in the
 //!   searched space, and [`Rule::CollectLinear`], which collapses every

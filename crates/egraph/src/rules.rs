@@ -3,11 +3,10 @@
 //! Rules come in two tiers. **Bit-exact** rules preserve every `f64` bit
 //! of every output (up to the `±0.0` identification the property harness
 //! applies), so saturation with [`RuleSet::exact`] is a semantics-preserving
-//! search. **Value-reassociating / quantizing** rules (associativity,
-//! distributivity, multiplier fusion, CSD decomposition) change rounding —
-//! they are only sound under the approximate-equivalence contract the §5
-//! ASIC script already accepts, and live in [`RuleSet::extended`] /
-//! [`RuleSet::asic`].
+//! search. **Quantizing / reassociating** rules (CSD decomposition,
+//! shared-MCM synthesis, shift-add collection) change rounding — they are
+//! only sound under the approximate-equivalence contract the §5 ASIC
+//! script already accepts, and live in [`RuleSet::asic`].
 
 use crate::fx::FxHashMap;
 use crate::graph::{EGraph, ENode, Id, KIND_COUNT};
@@ -18,9 +17,7 @@ use lintra_mcm::{quantize, synthesize, McmSolution, OutputRef, Recoding, Source,
 ///
 /// Rules read one level down (a node plus the nodes of one child class)
 /// while mutating the e-graph, so each arm snapshots the child's nodes
-/// first; `left` and `right` hold those snapshots. Two buffers because the
-/// factoring direction of [`Rule::MulDistribute`] holds both operands'
-/// snapshots at once.
+/// into `left` first.
 ///
 /// `csd_plans` memoizes [`Rule::CsdDecompose`]'s single-constant
 /// syntheses by recoding and quantized constant: unfolded designs carry
@@ -33,7 +30,6 @@ use lintra_mcm::{quantize, synthesize, McmSolution, OutputRef, Recoding, Source,
 #[derive(Debug, Default)]
 pub(crate) struct RuleScratch {
     left: Vec<ENode>,
-    right: Vec<ENode>,
     csd_plans: CsdPlanMemo,
     mcm_plans: McmPlanMemo,
     muls: Vec<(Id, i64, Id)>,
@@ -69,12 +65,6 @@ pub enum Rule {
     ShiftFuse,
     /// `x + 0 → x` (bit-exact up to `−0.0 + 0.0 = +0.0`).
     AddZero,
-    /// `(a + b) + c → a + (b + c)` (reassociates rounding).
-    AddAssoc,
-    /// `c·(a + b) ↔ c·a + c·b` (reassociates rounding).
-    MulDistribute,
-    /// `c₁·(c₂·x) → (c₁c₂)·x` (rounds the fused constant).
-    MulFuse,
     /// `c·x → shift-add network of round(c·2^w)` — the §5 CSD/MCM
     /// decomposition (quantizing; reuses `lintra_mcm` recoding and carries
     /// the same `round(c·2^w)/2^w` semantics as the MCM pass).
@@ -140,9 +130,6 @@ impl Rule {
             Rule::MulPow2 => "mul-pow2",
             Rule::ShiftFuse => "shift-fuse",
             Rule::AddZero => "add-zero",
-            Rule::AddAssoc => "add-assoc",
-            Rule::MulDistribute => "mul-distribute",
-            Rule::MulFuse => "mul-fuse",
             Rule::CsdDecompose { .. } => "csd-decompose",
             Rule::CollectLinear => "collect-linear",
             Rule::McmShare { .. } => "mcm-share",
@@ -154,12 +141,7 @@ impl Rule {
     pub fn bit_exact(&self) -> bool {
         !matches!(
             self,
-            Rule::AddAssoc
-                | Rule::MulDistribute
-                | Rule::MulFuse
-                | Rule::CsdDecompose { .. }
-                | Rule::CollectLinear
-                | Rule::McmShare { .. }
+            Rule::CsdDecompose { .. } | Rule::CollectLinear | Rule::McmShare { .. }
         )
     }
 
@@ -174,13 +156,12 @@ impl Rule {
         const SHIFT: u16 = 1 << 6;
         const NEG: u16 = 1 << 7;
         match self {
-            Rule::AddCommute | Rule::AddZero | Rule::AddAssoc => ADD,
+            Rule::AddCommute | Rule::AddZero => ADD,
             Rule::SubToAddNeg => SUB | ADD,
             Rule::NegNeg => NEG,
-            Rule::MulOne | Rule::MulFuse | Rule::CsdDecompose { .. } => MUL,
+            Rule::MulOne | Rule::CsdDecompose { .. } => MUL,
             Rule::MulPow2 => MUL | SHIFT,
             Rule::ShiftFuse => SHIFT,
-            Rule::MulDistribute => MUL | ADD,
             Rule::CollectLinear | Rule::McmShare { .. } => 0,
         }
     }
@@ -272,57 +253,6 @@ impl Rule {
                 }
                 if has_zero(eg, a) {
                     merged |= eg.union(class, b);
-                }
-            }
-            (Rule::AddAssoc, ENode::Add(a, b)) => {
-                for &n in snap(&mut scratch.left, eg, a) {
-                    if let ENode::Add(c, d) = n {
-                        let db = eg.add(ENode::Add(d, b));
-                        let assoc = eg.add(ENode::Add(c, db));
-                        merged |= eg.union(class, assoc);
-                    }
-                }
-            }
-            (Rule::MulDistribute, ENode::MulConst(bits, a)) => {
-                for &n in snap(&mut scratch.left, eg, a) {
-                    if let ENode::Add(x, y) = n {
-                        let mx = eg.add(ENode::MulConst(bits, x));
-                        let my = eg.add(ENode::MulConst(bits, y));
-                        let sum = eg.add(ENode::Add(mx, my));
-                        merged |= eg.union(class, sum);
-                    }
-                }
-            }
-            (Rule::MulDistribute, ENode::Add(a, b)) => {
-                // Factoring direction: c·x + c·y → c·(x + y).
-                snap(&mut scratch.left, eg, a);
-                snap(&mut scratch.right, eg, b);
-                for &ln in &scratch.left {
-                    let ENode::MulConst(c1, x) = ln else {
-                        continue;
-                    };
-                    for &rn in &scratch.right {
-                        let ENode::MulConst(c2, y) = rn else {
-                            continue;
-                        };
-                        if c1 == c2 {
-                            let sum = eg.add(ENode::Add(x, y));
-                            let n = eg.add(ENode::MulConst(c1, sum));
-                            merged |= eg.union(class, n);
-                        }
-                    }
-                }
-            }
-            (Rule::MulFuse, ENode::MulConst(bits, a)) => {
-                let c1 = f64::from_bits(bits);
-                for &n in snap(&mut scratch.left, eg, a) {
-                    if let ENode::MulConst(c2bits, b) = n {
-                        let p = c1 * f64::from_bits(c2bits);
-                        if p.is_finite() {
-                            let fusedn = eg.add(ENode::MulConst(p.to_bits(), b));
-                            merged |= eg.union(class, fusedn);
-                        }
-                    }
                 }
             }
             (
@@ -806,18 +736,6 @@ impl RuleSet {
         }
     }
 
-    /// Exact tier plus the value-reassociating rules.
-    pub fn extended() -> RuleSet {
-        let mut set = RuleSet::exact();
-        set.rules.extend([
-            Rule::AddAssoc,
-            Rule::MulDistribute,
-            Rule::MulFuse,
-            Rule::CollectLinear,
-        ]);
-        set
-    }
-
     /// The ASIC search tier: exact rules plus the quantizing CSD
     /// decomposition with the §5 script's fixed-point parameters, the
     /// shared-MCM synthesis, and the shift-add collection bridge that
@@ -1074,46 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn association_merges_both_trees() {
-        let mut eg = EGraph::new();
-        let x = leaf(&mut eg);
-        let y = eg.add(ENode::StateIn { index: 0 });
-        let z = eg.add(ENode::StateIn { index: 1 });
-        let xy = eg.add(ENode::Add(x, y));
-        let left = eg.add(ENode::Add(xy, z));
-        let yz = eg.add(ENode::Add(y, z));
-        let right = eg.add(ENode::Add(x, yz));
-        saturate_single(&mut eg, Rule::AddAssoc);
-        assert_eq!(eg.find(left), eg.find(right));
-    }
-
-    #[test]
-    fn distribution_merges_product_of_sum() {
-        let mut eg = EGraph::new();
-        let x = leaf(&mut eg);
-        let y = eg.add(ENode::StateIn { index: 0 });
-        let c = 3.0f64.to_bits();
-        let sum = eg.add(ENode::Add(x, y));
-        let lhs = eg.add(ENode::MulConst(c, sum));
-        let cx = eg.add(ENode::MulConst(c, x));
-        let cy = eg.add(ENode::MulConst(c, y));
-        let rhs = eg.add(ENode::Add(cx, cy));
-        saturate_single(&mut eg, Rule::MulDistribute);
-        assert_eq!(eg.find(lhs), eg.find(rhs));
-    }
-
-    #[test]
-    fn nested_multipliers_fuse() {
-        let mut eg = EGraph::new();
-        let x = leaf(&mut eg);
-        let inner = eg.add(ENode::MulConst(3.0f64.to_bits(), x));
-        let outer = eg.add(ENode::MulConst(5.0f64.to_bits(), inner));
-        let fused = eg.add(ENode::MulConst(15.0f64.to_bits(), x));
-        saturate_single(&mut eg, Rule::MulFuse);
-        assert_eq!(eg.find(outer), eg.find(fused));
-    }
-
-    #[test]
     fn csd_decomposition_matches_the_quantized_value() {
         // 0.59375 = 19/32 is exactly representable at 5+ fractional bits,
         // so the decomposed network computes the same value.
@@ -1304,11 +1182,9 @@ mod tests {
     #[test]
     fn tiers_are_labeled_correctly() {
         assert!(RuleSet::exact().bit_exact());
-        assert!(!RuleSet::extended().bit_exact());
         assert!(!RuleSet::asic(12, Recoding::Csd).bit_exact());
         assert_eq!(RuleSet::single(Rule::AddCommute).names(), ["add-commute"]);
         assert_eq!(RuleSet::exact().rules().len(), 7);
-        assert!(RuleSet::extended().rules().contains(&Rule::CollectLinear));
         assert!(RuleSet::asic(12, Recoding::Csd)
             .rules()
             .contains(&Rule::McmShare {

@@ -365,28 +365,6 @@ impl ThreadPool {
     {
         self.map(items, f).into_iter().collect()
     }
-
-    /// [`ThreadPool::try_map`] under [`SweepCtl`] controls: the lowest
-    /// failing index in input order wins, whether it panicked, stalled,
-    /// or was skipped by cancellation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`EngineError`] if any sweep point
-    /// failed or was skipped.
-    pub fn try_map_ctl<I, T, F>(
-        &self,
-        items: Vec<I>,
-        f: F,
-        ctl: SweepCtl<'_>,
-    ) -> Result<Vec<T>, EngineError>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        self.map_ctl(items, f, ctl).into_iter().collect()
-    }
 }
 
 impl Default for ThreadPool {
@@ -510,7 +488,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let token = CancelToken::with_deadline(Duration::from_millis(0));
         let err = pool
-            .try_map_ctl(
+            .map_ctl(
                 (0..16).collect(),
                 |x: usize| x,
                 SweepCtl {
@@ -518,6 +496,8 @@ mod tests {
                     stall_budget: None,
                 },
             )
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .unwrap_err();
         assert_eq!(err, EngineError::DeadlineExpired { task: 0 });
     }

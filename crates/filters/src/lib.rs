@@ -8,15 +8,14 @@
 //! them, with no external dependencies:
 //!
 //! 1. analog low-pass prototypes ([`butterworth`], [`chebyshev1`],
-//!    [`chebyshev2`], [`elliptic`]) in zero-pole-gain form, the elliptic case via
+//!    [`elliptic`]) in zero-pole-gain form, the elliptic case via
 //!    from-scratch Jacobi elliptic functions ([`jacobi`]),
-//! 2. spectral transforms low-pass → low/high/band-pass/band-stop
+//! 2. spectral transforms low-pass → low-pass/band-pass/band-stop
 //!    ([`Zpk::to_lowpass`] and friends),
 //! 3. the bilinear transform to discrete time ([`Zpk::bilinear`]),
-//! 4. realization as cascaded second-order sections ([`Sos`]) or a direct
-//!    (companion) form, and conversion to state-space matrices
-//!    ([`ss::sos_to_state_space`], [`ss::tf_to_state_space`]) for the rest
-//!    of the workspace.
+//! 4. realization as cascaded second-order sections ([`Sos`]) and
+//!    conversion to state-space matrices ([`ss::sos_to_state_space`],
+//!    [`ss::sos_to_coupled_state_space`]) for the rest of the workspace.
 //!
 //! # Examples
 //!
@@ -44,7 +43,7 @@ mod zpk;
 
 pub use complex::Complex;
 pub use poly::Poly;
-pub use proto::{butterworth, chebyshev1, chebyshev2, elliptic, DesignFilterError};
+pub use proto::{butterworth, chebyshev1, elliptic, DesignFilterError};
 pub use sos::{Biquad, Sos};
 pub use zpk::Zpk;
 

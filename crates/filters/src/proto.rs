@@ -87,44 +87,6 @@ pub fn chebyshev1(n: usize, ripple_db: f64) -> Result<Zpk, DesignFilterError> {
     Ok(Zpk::analog(vec![], poles, gain))
 }
 
-/// Chebyshev type-II (inverse Chebyshev) prototype of order `n` with
-/// stopband attenuation `atten_db` (> 0 dB): maximally flat passband,
-/// equiripple stopband starting at 1 rad/s.
-///
-/// # Errors
-///
-/// Returns an error for `n = 0` or a non-positive attenuation.
-pub fn chebyshev2(n: usize, atten_db: f64) -> Result<Zpk, DesignFilterError> {
-    if n == 0 {
-        return Err(DesignFilterError::ZeroOrder);
-    }
-    if atten_db.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(DesignFilterError::BadRipple {
-            what: "stopband attenuation must be > 0 dB",
-        });
-    }
-    let eps = 1.0 / (10f64.powf(atten_db / 10.0) - 1.0).sqrt();
-    let a = (1.0 / eps).asinh() / n as f64;
-    let mut poles = Vec::with_capacity(n);
-    let mut zeros = Vec::new();
-    for i in 1..=n {
-        let theta = std::f64::consts::PI * (2 * i - 1) as f64 / (2 * n) as f64;
-        // Type-I pole, then invert for type II.
-        let p1 = Complex::new(-a.sinh() * theta.sin(), a.cosh() * theta.cos());
-        poles.push(p1.inv());
-        // Zeros on the imaginary axis at 1/cos(theta); the middle angle of
-        // an odd order has cos(theta) = 0 (zero at infinity) and is skipped.
-        if theta.cos().abs() > 1e-12 {
-            zeros.push(Complex::new(0.0, 1.0 / theta.cos()));
-        }
-    }
-    // H(0) = 1.
-    let num0 = zeros.iter().fold(Complex::ONE, |acc, &z| acc * (-z));
-    let den0 = poles.iter().fold(Complex::ONE, |acc, &p| acc * (-p));
-    let gain = (den0 / num0).re;
-    Ok(Zpk::analog(zeros, poles, gain))
-}
-
 /// Elliptic (Cauer) prototype of order `n` with passband ripple
 /// `ripple_db` and stopband attenuation `atten_db`, following the standard
 /// Landen/Jacobi construction (Orfanidis' formulation of the classical
@@ -278,51 +240,6 @@ mod tests {
         // Odd order: H(0) = 1.
         let f7 = chebyshev1(7, rp).unwrap();
         assert!((mag(&f7, 0.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn chebyshev2_flat_passband_equiripple_stopband() {
-        for &(n, rs) in &[(5usize, 40.0), (6, 50.0)] {
-            let f = chebyshev2(n, rs).unwrap();
-            let ceiling = 10f64.powf(-rs / 20.0);
-            assert!((mag(&f, 0.0) - 1.0).abs() < 1e-9, "n={n}: H(0)");
-            // Monotone decreasing passband.
-            let mut prev = mag(&f, 0.0);
-            let mut w = 0.02;
-            while w < 0.6 {
-                let m = mag(&f, w);
-                assert!(m <= prev + 1e-9, "n={n}: passband not monotone at {w}");
-                prev = m;
-                w += 0.02;
-            }
-            // Stopband never exceeds the ceiling and touches it (equiripple).
-            let mut peak = 0.0_f64;
-            let mut w = 1.0;
-            while w <= 30.0 {
-                let m = mag(&f, w);
-                assert!(m <= ceiling * (1.0 + 1e-6), "n={n}: stopband {m} at {w}");
-                peak = peak.max(m);
-                w += 0.01;
-            }
-            assert!(
-                peak > 0.95 * ceiling,
-                "n={n}: stopband peak {peak} vs {ceiling}"
-            );
-            for &p in f.poles() {
-                assert!(p.re < 0.0, "unstable pole {p}");
-            }
-        }
-        // Odd order: one zero at infinity (n-1 finite zeros).
-        assert_eq!(chebyshev2(5, 40.0).unwrap().zeros().len(), 4);
-        assert_eq!(chebyshev2(6, 40.0).unwrap().zeros().len(), 6);
-        assert!(matches!(
-            chebyshev2(0, 40.0),
-            Err(DesignFilterError::ZeroOrder)
-        ));
-        assert!(matches!(
-            chebyshev2(4, 0.0),
-            Err(DesignFilterError::BadRipple { .. })
-        ));
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Conversion of digital filters to state-space coefficient matrices.
 //!
-//! Two realizations are provided, matching how the paper's DSP benchmarks
-//! are described:
+//! Two cascade realizations are provided, both composing second-order
+//! sections in series (block lower-triangular `A`):
 //!
-//! * [`tf_to_state_space`] — direct (controllable-companion) form: `A` has
-//!   one dense row plus a trivial sub-diagonal of ones, `B = e₁`, dense
-//!   `C`, scalar `D`. This is the sparse/trivial-rich structure the paper's
-//!   §3 heuristic exploits.
-//! * [`sos_to_state_space`] — a cascade of biquads in transposed direct
-//!   form II composed in series (block lower-triangular `A`), used for the
-//!   `iir6` "cascade" benchmark.
+//! * [`sos_to_state_space`] — biquads in transposed direct form II;
+//! * [`sos_to_coupled_state_space`] — biquads in the coupled (normalized)
+//!   form, where every `A` coefficient is a genuine multiplication. The
+//!   suite's filter benchmarks use this one.
 
 use crate::{Biquad, Sos};
 use lintra_matrix::Matrix;
@@ -45,44 +42,6 @@ impl StateSpaceParts {
             out.push(y);
         }
         out
-    }
-}
-
-/// Realizes `H(z) = (b₀ + b₁z⁻¹ + … + b_nz⁻ⁿ)/(1 + a₁z⁻¹ + … + a_nz⁻ⁿ)`
-/// in controllable-companion form.
-///
-/// # Panics
-///
-/// Panics unless `a[0] == 1`, `b.len() == a.len()`, and the order is at
-/// least 1.
-pub fn tf_to_state_space(b: &[f64], a: &[f64]) -> StateSpaceParts {
-    assert_eq!(
-        a.first(),
-        Some(&1.0),
-        "denominator must be monic (a[0] = 1)"
-    );
-    assert_eq!(b.len(), a.len(), "b and a must have equal length");
-    let n = a.len() - 1;
-    assert!(n >= 1, "order must be at least 1");
-    let mut am = Matrix::zeros(n, n);
-    for j in 0..n {
-        am[(0, j)] = -a[j + 1];
-    }
-    for i in 1..n {
-        am[(i, i - 1)] = 1.0;
-    }
-    let mut bm = Matrix::zeros(n, 1);
-    bm[(0, 0)] = 1.0;
-    let mut cm = Matrix::zeros(1, n);
-    for j in 0..n {
-        cm[(0, j)] = b[j + 1] - b[0] * a[j + 1];
-    }
-    let dm = Matrix::from_rows(&[&[b[0]]]);
-    StateSpaceParts {
-        a: am,
-        b: bm,
-        c: cm,
-        d: dm,
     }
 }
 
@@ -210,65 +169,6 @@ mod tests {
         let mut x = vec![0.0; n];
         x[0] = 1.0;
         x
-    }
-
-    /// Direct difference-equation filtering as an oracle.
-    fn filter_tf(b: &[f64], a: &[f64], input: &[f64]) -> Vec<f64> {
-        let n = a.len();
-        let mut out = Vec::with_capacity(input.len());
-        for k in 0..input.len() {
-            let mut y = 0.0;
-            for (i, &bi) in b.iter().enumerate() {
-                if k >= i {
-                    y += bi * input[k - i];
-                }
-            }
-            for i in 1..n {
-                if k >= i {
-                    y -= a[i] * out[k - i];
-                }
-            }
-            out.push(y);
-        }
-        out
-    }
-
-    #[test]
-    fn companion_form_matches_difference_equation() {
-        let f = butterworth(4)
-            .unwrap()
-            .to_lowpass(0.35 * std::f64::consts::PI)
-            .bilinear(1.0);
-        let (b, a) = f.to_tf();
-        let ss = tf_to_state_space(&b, &a);
-        let x: Vec<f64> = (0..100).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let want = filter_tf(&b, &a, &x);
-        let got = ss.simulate(&x);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn companion_structure_is_sparse() {
-        let f = butterworth(6)
-            .unwrap()
-            .to_lowpass(0.3 * std::f64::consts::PI)
-            .bilinear(1.0);
-        let (b, a) = f.to_tf();
-        let ss = tf_to_state_space(&b, &a);
-        // Dense first row + sub-diagonal ones, everything else zero.
-        for i in 1..6 {
-            for j in 0..6 {
-                if j == i - 1 {
-                    assert_eq!(ss.a[(i, j)], 1.0);
-                } else {
-                    assert_eq!(ss.a[(i, j)], 0.0);
-                }
-            }
-        }
-        assert_eq!(ss.b[(0, 0)], 1.0);
-        assert!(ss.b.col(0)[1..].iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zero-pole-gain filter representation, spectral transforms, and the
 //! bilinear transform.
 
-use crate::{Complex, Poly};
+use crate::Complex;
 
 /// Which variable a [`Zpk`] lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,7 @@ impl Zpk {
     }
 
     /// `Π(−zᵢ)/Π(−pⱼ)` as a real number (imaginary residue asserted small);
-    /// the gain correction shared by the `1/s`-flavoured transforms.
+    /// the band-stop transform's gain correction.
     fn reflection_ratio(&self) -> f64 {
         let num = self.zeros.iter().fold(Complex::ONE, |acc, &z| acc * (-z));
         let den = self.poles.iter().fold(Complex::ONE, |acc, &p| acc * (-p));
@@ -128,26 +128,6 @@ impl Zpk {
             zeros: self.zeros.iter().map(|&z| z.scale(w0)).collect(),
             poles: self.poles.iter().map(|&p| p.scale(w0)).collect(),
             gain: self.gain * w0.powi(relative_degree as i32),
-            domain: Domain::Analog,
-        }
-    }
-
-    /// Low-pass prototype → high-pass with cutoff `w0` (`s ← ω₀/s`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when applied to a digital filter or `w0 <= 0`.
-    pub fn to_highpass(&self, w0: f64) -> Zpk {
-        self.assert_analog("to_highpass");
-        assert!(w0 > 0.0, "cutoff must be positive");
-        let relative_degree = self.poles.len() - self.zeros.len();
-        let gain = self.gain * self.reflection_ratio();
-        let mut zeros: Vec<Complex> = self.zeros.iter().map(|&z| Complex::from(w0) / z).collect();
-        zeros.extend(std::iter::repeat_n(Complex::ZERO, relative_degree));
-        Zpk {
-            zeros,
-            poles: self.poles.iter().map(|&p| Complex::from(w0) / p).collect(),
-            gain,
             domain: Domain::Analog,
         }
     }
@@ -252,41 +232,6 @@ impl Zpk {
             domain: Domain::Digital,
         }
     }
-
-    /// Expands into transfer-function coefficient vectors `(b, a)` in
-    /// negative powers of the transform variable, normalized so `a[0] = 1`:
-    /// `H(z) = (b₀ + b₁z⁻¹ + …)/(1 + a₁z⁻¹ + …)` (digital) or the
-    /// analogous descending-power form for analog filters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are more zeros than poles.
-    pub fn to_tf(&self) -> (Vec<f64>, Vec<f64>) {
-        assert!(
-            self.zeros.len() <= self.poles.len(),
-            "improper filter: {} zeros > {} poles",
-            self.zeros.len(),
-            self.poles.len()
-        );
-        let num = Poly::from_roots(&self.zeros).scale(self.gain);
-        let den = Poly::from_roots(&self.poles);
-        let n = den.degree();
-        // Descending powers of z, padded to a common length, then read as
-        // coefficients of z^{-k}.
-        let mut b: Vec<f64> = num.coeffs().iter().rev().copied().collect();
-        let mut a: Vec<f64> = den.coeffs().iter().rev().copied().collect();
-        while b.len() < n + 1 {
-            b.insert(0, 0.0);
-        }
-        let a0 = a[0];
-        for x in &mut a {
-            *x /= a0;
-        }
-        for x in &mut b {
-            *x /= a0;
-        }
-        (b, a)
-    }
 }
 
 #[cfg(test)]
@@ -325,22 +270,6 @@ mod tests {
             let rhs = f.freq_response(w / 3.0);
             assert!(lhs.approx_eq(rhs, 1e-9 * (1.0 + rhs.norm())), "w={w}");
         }
-    }
-
-    #[test]
-    fn highpass_transform_identity() {
-        // H_hp(s) == H_proto(w0/s); at s = jw: H_proto(w0/(jw)) = H_proto(-j w0/w).
-        let f = proto_with_zeros();
-        let g = f.to_highpass(2.0);
-        for &w in &[0.3, 1.0, 4.0] {
-            let lhs = g.freq_response(w);
-            let rhs = f.eval(Complex::from(2.0) / Complex::new(0.0, w));
-            assert!(lhs.approx_eq(rhs, 1e-9 * (1.0 + rhs.norm())), "w={w}");
-        }
-        // A Butterworth-style prototype keeps unit gain at infinity.
-        let b = proto2().to_highpass(2.0);
-        let hi = b.freq_response(1e6).norm();
-        assert!((hi - 1.0).abs() < 1e-3, "|H(inf)| = {hi}");
     }
 
     #[test]
@@ -411,29 +340,6 @@ mod tests {
         for &w in &[0.1, 0.5, 1.0, 2.0] {
             let lhs = g.freq_response(w);
             let rhs = f.freq_response(2.0 * fs * (w / 2.0).tan());
-            assert!(lhs.approx_eq(rhs, 1e-9 * (1.0 + rhs.norm())), "w={w}");
-        }
-    }
-
-    #[test]
-    fn to_tf_matches_eval() {
-        let f = proto_with_zeros().to_lowpass(1.3).bilinear(1.0);
-        let (b, a) = f.to_tf();
-        assert_eq!(a[0], 1.0);
-        assert_eq!(b.len(), a.len());
-        for &w in &[0.0, 0.7, 2.0, 3.0] {
-            let z = Complex::from_polar(1.0, w);
-            let zi = z.inv();
-            let mut num = Complex::ZERO;
-            let mut den = Complex::ZERO;
-            let mut zp = Complex::ONE;
-            for k in 0..b.len() {
-                num = num + zp.scale(b[k]);
-                den = den + zp.scale(a[k]);
-                zp = zp * zi;
-            }
-            let lhs = num / den;
-            let rhs = f.freq_response(w);
             assert!(lhs.approx_eq(rhs, 1e-9 * (1.0 + rhs.norm())), "w={w}");
         }
     }

@@ -14,9 +14,7 @@
 //! * [`best_unfolding`](count::best_unfolding) — the §3 search heuristic
 //!   for non-dense (real-life) coefficient matrices,
 //! * [`c2d`] — zero-order-hold discretization of continuous plants (used to
-//!   regenerate the controller benchmarks),
-//! * [`gramian`] — controllability/observability Gramians (discrete
-//!   Lyapunov solver), used as realization diagnostics for the suite.
+//!   regenerate the controller benchmarks).
 //!
 //! # Examples
 //!
@@ -37,7 +35,6 @@
 
 pub mod c2d;
 pub mod count;
-pub mod gramian;
 mod statespace;
 mod unfold;
 

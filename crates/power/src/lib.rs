@@ -39,7 +39,7 @@ mod voltage;
 
 pub use cost::EnergyCost;
 pub use energy::{EnergyBreakdown, EnergyModel, OpEnergy};
-pub use shutdown::{power_down_break_even, relative_power, IdleStrategy};
+pub use shutdown::{relative_power, IdleStrategy};
 pub use voltage::{VoltageError, VoltageModel, VoltageModelError, VoltageScaling};
 
 /// Average switching power `P = α·C_L·V_dd²·f` (EQ 1 of the paper).

@@ -55,18 +55,6 @@ pub fn relative_power(speedup: f64, strategy: IdleStrategy) -> f64 {
     }
 }
 
-/// The speedup above which powering down (with its wake-up cost) beats
-/// clock gating (with its idle leakage); `None` when power-down never
-/// wins.
-pub fn power_down_break_even(idle_fraction: f64, wakeup_overhead: f64) -> Option<f64> {
-    // busy(1 + ovh) < busy + (1-busy)·idle  ⇔  busy·ovh < (1-busy)·idle
-    // ⇔ ovh/idle < (1-busy)/busy = speedup - 1.
-    if idle_fraction <= 0.0 {
-        return None;
-    }
-    Some(1.0 + wakeup_overhead / idle_fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,24 +109,5 @@ mod tests {
         );
         assert!((free - 0.25).abs() < 1e-12);
         assert!((costly - 0.375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn break_even_threshold() {
-        let be = power_down_break_even(0.1, 0.5).unwrap();
-        assert!((be - 6.0).abs() < 1e-12);
-        // Past the threshold power-down wins; below it gating wins.
-        let gate = |s| relative_power(s, IdleStrategy::ClockGate { idle_fraction: 0.1 });
-        let down = |s| {
-            relative_power(
-                s,
-                IdleStrategy::PowerDown {
-                    wakeup_overhead: 0.5,
-                },
-            )
-        };
-        assert!(down(8.0) < gate(8.0));
-        assert!(down(4.0) > gate(4.0));
-        assert!(power_down_break_even(0.0, 0.5).is_none());
     }
 }

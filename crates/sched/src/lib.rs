@@ -41,7 +41,6 @@
 //! # }
 //! ```
 
-pub mod fds;
 pub mod latency;
 
 use lintra_dfg::{Dfg, NodeId, NodeKind};

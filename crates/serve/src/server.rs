@@ -79,7 +79,6 @@ use std::time::Duration;
 use lintra::engine::{
     CacheStats, CancelReason, CancelToken, EngineError, SweepCache, SweepCtl, ThreadPool,
 };
-use lintra::linsys::count::{op_count, TrivialityRule};
 use lintra::matrix::rng::SplitMix64;
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, Strategy, TechConfig};
@@ -88,7 +87,9 @@ use lintra::{ErrorClass, LintraError};
 use lintra_bench::json::Json;
 use lintra_bench::render::{render_table2, render_table3, render_table4};
 use lintra_bench::wire::{WireFailure, WireOp, WireRequest, WireResponse};
-use lintra_bench::{table2_rows_engine, table3_rows_engine, table4_rows_engine, SuiteCaches};
+use lintra_bench::{
+    table2_rows_engine, table3_rows_engine, table4_rows_engine, unfold_sweep_point, SuiteCaches,
+};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
@@ -1046,11 +1047,7 @@ fn execute(
                     let cache = caches
                         .entry(d.name.to_string())
                         .or_insert_with(|| SweepCache::new(&d.system));
-                    cache.unfolded(i).map(|u| {
-                        let c = op_count(&u.system, TrivialityRule::ZeroOne);
-                        let n = f64::from(i + 1);
-                        (i, c.muls as f64 / n, c.adds as f64 / n)
-                    })
+                    unfold_sweep_point(i, cache)
                 },
                 ctl,
             );
@@ -1058,7 +1055,7 @@ fn execute(
             for point in results {
                 let (i, muls, adds) = point
                     .map_err(LintraError::from)?
-                    .map_err(|e| LintraError::from(e).context(format!("sweeping {design}")))?;
+                    .map_err(|e| e.context(format!("sweeping {design}")))?;
                 rows.push(Json::Arr(vec![
                     Json::Num(f64::from(i)),
                     Json::Num(muls),

@@ -1,8 +1,8 @@
 //! The socket layer: every socket the serve layer touches goes through
 //! this module. The server (`lintra serve`) and the router (`lintra route`)
-//! each bind one [`Listener`] and run the one [`accept_loop`] and the one
-//! [`serve_connection`] over it. [`read_line`] is the one newline framer,
-//! and [`send_and_read`] the one "send a line, read a line" exchange on an
+//! each bind one `Listener` and run the one `accept_loop` and the one
+//! `serve_connection` over it. [`read_line`] is the one newline framer,
+//! and `send_and_read` the one "send a line, read a line" exchange on an
 //! open connection. [`round_trip`] runs it on a fresh connection for
 //! status and peer queries, the [`crate::Client`] and `lintra
 //! cluster-status`; the router's forwards run it on connections they
@@ -193,7 +193,7 @@ pub(crate) fn send_and_read(
 }
 
 /// One request/reply exchange on a fresh connection: connects to `addr`
-/// within `connect`, then [`send_and_read`] with `reply`.
+/// within `connect`, then `send_and_read` with `reply`.
 ///
 /// # Errors
 ///

@@ -12,12 +12,10 @@
 //!    ([`mcm_pass::expand_multiplications`], grouping multiplications by the
 //!    variable they share — in graph terms, by predecessor node).
 //!
-//! A generic common-subexpression-elimination pass ([`cse::eliminate`]) is
-//! also provided (ablation baseline), along with the feed-forward
-//! pipelining pass ([`pipeline::insert_registers`]) that realizes the §5
-//! "arbitrary number of pipeline delays in the non-recursive part".
+//! The feed-forward pipelining pass ([`pipeline::insert_registers`])
+//! realizes the §5 "arbitrary number of pipeline delays in the
+//! non-recursive part".
 
-pub mod cse;
 pub mod horner;
 pub mod mcm_pass;
 pub mod pipeline;

@@ -8,7 +8,9 @@
 #    examples) — including `unwrap_used`/`expect_used` in the pipeline
 #    crates (see [workspace.lints] in Cargo.toml; clippy.toml lets tests
 #    use them),
-# 3. rustfmt drift check (the tree is formatted; keep it that way).
+# 3. rustfmt drift check (the tree is formatted; keep it that way),
+# 4. rustdoc with warnings denied (every intra-doc link resolves to a
+#    public item).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== format gate: cargo fmt --check =="
 cargo fmt --check
+
+echo "== doc gate: cargo doc --workspace --no-deps --lib, warnings denied =="
+# A link to a deleted or private item fails here. `--lib` because the
+# CLI's `lintra` bin and the `lintra` library would otherwise collide in
+# the doc output (cargo issue 6313).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 echo "== engine: differential + golden-snapshot tests =="
 cargo test --release -p lintra-engine -q

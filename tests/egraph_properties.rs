@@ -293,7 +293,7 @@ fn any_budget_still_extracts_a_bit_identical_graph() {
 }
 
 /// Builds the minimal graph targeting one rule, returning the graph.
-/// Channels: x=(0,0), y=(0,1), z=(0,2).
+/// Channels: x=(0,0), y=(0,1).
 fn minimal_graph_for(rule: &Rule) -> Dfg {
     let mut g = Dfg::new();
     let x = g
@@ -327,21 +327,6 @@ fn minimal_graph_for(rule: &Rule) -> Dfg {
         Rule::AddZero => {
             let zero = g.push(NodeKind::Const(0.0), vec![]).unwrap();
             g.push(NodeKind::Add, vec![x, zero]).unwrap()
-        }
-        Rule::AddAssoc => {
-            let y = input(&mut g, 1);
-            let z = input(&mut g, 2);
-            let xy = g.push(NodeKind::Add, vec![x, y]).unwrap();
-            g.push(NodeKind::Add, vec![xy, z]).unwrap()
-        }
-        Rule::MulDistribute => {
-            let y = input(&mut g, 1);
-            let xy = g.push(NodeKind::Add, vec![x, y]).unwrap();
-            g.push(NodeKind::MulConst(3.0), vec![xy]).unwrap()
-        }
-        Rule::MulFuse => {
-            let m1 = g.push(NodeKind::MulConst(5.0), vec![x]).unwrap();
-            g.push(NodeKind::MulConst(3.0), vec![m1]).unwrap()
         }
         // 0.75 = 2⁻¹ + 2⁻² recodes in CSD to 2⁰ − 2⁻², one subtraction.
         Rule::CsdDecompose { .. } => g.push(NodeKind::MulConst(0.75), vec![x]).unwrap(),
@@ -387,9 +372,6 @@ fn each_rule_is_semantics_preserving_in_isolation() {
         Rule::MulPow2,
         Rule::ShiftFuse,
         Rule::AddZero,
-        Rule::AddAssoc,
-        Rule::MulDistribute,
-        Rule::MulFuse,
         Rule::CsdDecompose {
             frac_bits: 16,
             recoding: Recoding::Csd,
@@ -531,9 +513,6 @@ fn indexed_engine_matches_reference_engine_on_every_rule_graph() {
         Rule::MulPow2,
         Rule::ShiftFuse,
         Rule::AddZero,
-        Rule::AddAssoc,
-        Rule::MulDistribute,
-        Rule::MulFuse,
         Rule::CsdDecompose {
             frac_bits: 16,
             recoding: Recoding::Csd,
@@ -583,7 +562,7 @@ fn indexed_engine_matches_reference_engine_on_every_rule_graph() {
         assert_engines_agree(
             &format!("mixed #{case} clipped {clipped:?}"),
             &g,
-            &RuleSet::extended(),
+            &RuleSet::asic(16, Recoding::Csd),
             &clipped,
         );
     }

@@ -5,7 +5,6 @@
 use lintra::dfg::build;
 use lintra::linsys::unfold;
 use lintra::suite::{stimulus, suite};
-use lintra::transform::cse;
 use lintra::transform::horner::HornerForm;
 use lintra::transform::mcm_pass::{expand_multiplications, McmPassConfig};
 use std::collections::HashMap;
@@ -113,21 +112,6 @@ fn mcm_rewrite_stays_within_quantization_error() {
         // band-pass designs.
         let err = max_err(&want, &got);
         assert!(err < 5e-3, "{}: err {err}", d.name);
-    }
-}
-
-#[test]
-fn cse_preserves_semantics_on_every_design() {
-    for d in suite() {
-        let (p, q, r) = d.dims();
-        let g = build::from_unfolded(&unfold(&d.system, 2).unwrap()).unwrap();
-        let (reduced, _) = cse::eliminate(&g).unwrap();
-        assert!(reduced.len() <= g.len());
-        let input = stimulus(p, 12, 19);
-        let want = run_graph(&g, 3, p, q, r, &input);
-        let got = run_graph(&reduced, 3, p, q, r, &input);
-        let err = max_err(&want, &got);
-        assert!(err < 1e-12, "{}: err {err}", d.name);
     }
 }
 

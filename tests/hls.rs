@@ -1,11 +1,9 @@
-//! Cross-crate HLS integration tests: pipelining, latency analysis, and
-//! force-directed scheduling composed over the real benchmark suite.
+//! Cross-crate HLS integration tests: pipelining and latency analysis
+//! composed over the real benchmark suite.
 
 use lintra::dfg::{build, OpTiming};
 use lintra::linsys::unfold;
-use lintra::sched::fds::{force_directed_schedule, FdsError};
 use lintra::sched::latency::{batch_latency, BatchArrival};
-use lintra::sched::{list_schedule, ProcessorModel};
 use lintra::suite::{stimulus, suite};
 use lintra::transform::horner::HornerForm;
 use lintra::transform::mcm_pass::{expand_multiplications, McmPassConfig};
@@ -90,55 +88,6 @@ fn on_arrival_latency_beats_block_on_every_unfolded_design() {
             d.name,
             onarr.avg_latency,
             block.avg_latency
-        );
-    }
-}
-
-#[test]
-fn fds_matches_list_scheduler_feasibility() {
-    // For each design: schedule with FDS at the latency the list scheduler
-    // achieves with N processors; FDS must not need more total units than
-    // N (it has typed units, so compare the sum).
-    let model = ProcessorModel::unit();
-    for d in suite().into_iter().filter(|d| d.dims().2 <= 6) {
-        let g = build::from_state_space(&d.system).unwrap();
-        for n in [2usize, 4] {
-            let ls = list_schedule(&g, n, &model).unwrap();
-            match force_directed_schedule(&g, &model, ls.length) {
-                Ok(fds) => {
-                    fds.validate(&g, &model)
-                        .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-                    // Typed units can exceed N slightly (a multiplier and
-                    // an ALU cannot share), but not wildly.
-                    assert!(
-                        fds.multipliers + fds.alus <= 2 * n + 2,
-                        "{} N={n}: {} mult + {} alu",
-                        d.name,
-                        fds.multipliers,
-                        fds.alus
-                    );
-                }
-                Err(FdsError::Infeasible { .. }) => {
-                    panic!("{} N={n}: list-feasible latency infeasible for FDS", d.name)
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn fds_hardware_shrinks_with_latency_slack_on_suite() {
-    let model = ProcessorModel::unit();
-    for d in suite().into_iter().filter(|d| d.dims().2 <= 6) {
-        let g = build::from_state_space(&d.system).unwrap();
-        // Enough processors to be effectively unbounded.
-        let cp = list_schedule(&g, g.len().max(1), &model).unwrap().length;
-        let tight = force_directed_schedule(&g, &model, cp).expect("cp feasible");
-        let loose = force_directed_schedule(&g, &model, 4 * cp).expect("slack feasible");
-        assert!(
-            loose.multipliers <= tight.multipliers && loose.alus <= tight.alus,
-            "{}: hardware grew with slack",
-            d.name
         );
     }
 }

@@ -227,27 +227,6 @@ fn simulation_is_linear() {
     }
 }
 
-/// Gramians of random stable systems satisfy their Lyapunov equations
-/// and are symmetric.
-#[test]
-fn gramians_satisfy_lyapunov() {
-    use lintra::linsys::gramian::{controllability_gramian, solve_discrete_lyapunov};
-    let mut rng = SplitMix64::new(0x677261);
-    for _ in 0..32 {
-        let seed = rng.next_below(200);
-        let r = rng.next_below(4) as usize + 1;
-        let sparsity = rng.range_f64(0.0, 0.6);
-        let sys = random_stable(1, 1, r, sparsity, seed);
-        let wc = controllability_gramian(&sys).unwrap();
-        let rhs = &(&(sys.a() * &wc) * &sys.a().transpose()) + &(sys.b() * &sys.b().transpose());
-        assert!(wc.approx_eq(&rhs, 1e-8 * (1.0 + wc.max_abs())));
-        assert!(wc.approx_eq(&wc.transpose(), 1e-9));
-        // Sanity on the solver's shape validation.
-        let bad = solve_discrete_lyapunov(sys.a(), &lintra::matrix::Matrix::zeros(r + 1, r + 1));
-        assert!(bad.is_err());
-    }
-}
-
 /// Exact QR eigenvalues agree with the norm-based spectral-radius
 /// estimate on random stable systems.
 #[test]
