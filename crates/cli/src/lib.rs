@@ -961,11 +961,18 @@ fn sim_swarm(
 ) -> Result<(), CliError> {
     let first = parse_int(args, "--seed")?.unwrap_or(1u64);
     let swarm = parse_int(args, "--swarm")?.unwrap_or(1u64).max(1);
+    // A budget that is spent before the first seed would pass vacuously.
     let seconds = match flag_value(args, "--seconds") {
         None => None,
         Some(v) => Some(
             v.parse::<f64>()
-                .map_err(|_| usage(format!("--seconds expects a wall-clock budget, got `{v}`")))?,
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| {
+                    usage(format!(
+                        "--seconds expects a positive, finite wall-clock budget, got `{v}`"
+                    ))
+                })?,
         ),
     };
     let trace = args.iter().any(|a| a == "--trace");
@@ -1515,6 +1522,25 @@ mod tests {
             ],
             7,
         );
+    }
+
+    #[test]
+    fn sim_rejects_budgets_that_are_not_positive_and_finite() {
+        for budget in ["0", "-0", "-1", "-0.5", "nan", "inf", "-inf", "soon"] {
+            for shards in [
+                &[][..],
+                &["--shards", "2", "--bug", "unbounded-retries"][..],
+            ] {
+                let mut args = vec!["sim", "--swarm", "4", "--seconds", budget];
+                if shards.is_empty() {
+                    args.extend(["--bug", "colliding-epoch"]);
+                }
+                args.extend(shards);
+                let err = run_err(&args);
+                assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+                assert!(err.to_string().contains("--seconds"), "{args:?}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -206,24 +206,23 @@ pub fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, ScanOutcome) {
     (records, ScanOutcome::Clean)
 }
 
+/// Validates and parses one payload in full, then moves its `rid` and
+/// `line` strings into the record instead of copying them.
 fn decode_payload(payload: &[u8]) -> Result<JournalRecord, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
     let doc = Json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
-    let tag = doc
-        .get("t")
-        .and_then(Json::as_str)
-        .ok_or("payload lacks a string \"t\" tag")?;
+    let lacks_tag = "payload lacks a string \"t\" tag";
+    let Json::Obj(mut members) = doc else {
+        return Err(lacks_tag.to_string());
+    };
+    let tag = members.get("t").and_then(Json::as_str).ok_or(lacks_tag)?;
     let kind = RecordKind::from_tag(tag).ok_or_else(|| format!("unknown record tag \"{tag}\""))?;
-    let rid = doc
-        .get("rid")
-        .and_then(Json::as_str)
-        .ok_or("payload lacks a string \"rid\"")?
-        .to_string();
-    let line = doc
-        .get("line")
-        .and_then(Json::as_str)
-        .ok_or("payload lacks a string \"line\"")?
-        .to_string();
+    let mut take = |key: &str| match members.remove(key) {
+        Some(Json::Str(s)) => Some(s),
+        _ => None,
+    };
+    let rid = take("rid").ok_or("payload lacks a string \"rid\"")?;
+    let line = take("line").ok_or("payload lacks a string \"line\"")?;
     Ok(JournalRecord { kind, rid, line })
 }
 
@@ -256,10 +255,15 @@ pub fn encode_record(kind: RecordKind, rid: &str, line: &str) -> Vec<u8> {
 /// the exact response line a retry is answered with.
 pub type CompletedMap = HashMap<String, (RecordKind, String)>;
 
+/// What [`fold_records`] maps a record stream to: the dedup map and the
+/// admitted-but-unsettled `(request_id, request line)`s in admission
+/// order.
+pub type Folded = (CompletedMap, Vec<(String, String)>);
+
 /// Folds a record sequence into the dedup map and the ordered list of
 /// admitted-but-unsettled requests — the one replay policy shared by
-/// startup recovery and follower promotion.
-pub fn fold_records(records: &[JournalRecord]) -> (CompletedMap, Vec<(String, String)>) {
+/// startup recovery, a simulated node's boot and follower promotion.
+pub fn fold_records(records: &[JournalRecord]) -> Folded {
     let mut completed: CompletedMap = HashMap::new();
     let mut admitted: Vec<(String, String)> = Vec::new();
     for r in records {
@@ -679,6 +683,27 @@ mod tests {
                     "byte {byte} bit {bit}: {outcome:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_checksummed_record_nested_past_the_json_depth_bound_is_corruption() {
+        // A CRC-valid frame around a payload whose nesting the parser
+        // refuses: the scan must classify it, not overflow the stack.
+        let mut bytes = record_bytes(&[(RecordKind::Admit, "k0", "before")]);
+        let payload = "[".repeat(1 << 20);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        let (records, outcome) = std::thread::spawn(move || scan(&bytes))
+            .join()
+            .expect("scanning must not overflow the stack");
+        assert_eq!(records.len(), 1, "the record before the damage survives");
+        match outcome {
+            ScanOutcome::Corrupt { detail, .. } => {
+                assert!(detail.contains("nested too deep"), "{detail}");
+            }
+            other => panic!("a deep payload must be corruption, got {other:?}"),
         }
     }
 

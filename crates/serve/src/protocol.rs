@@ -29,7 +29,9 @@ use lintra::ErrorClass;
 use lintra_bench::wire::{WireFailure, WireResponse};
 
 use crate::client::RetryPolicy;
-use crate::journal::{fold_records, payload_bytes, CompletedMap, JournalRecord, RecordKind};
+use crate::journal::{
+    fold_records, payload_bytes, CompletedMap, Folded, JournalRecord, RecordKind,
+};
 use crate::replicate::{prefix_crc, promotion_epoch, EpochState, ReplMsg, Role, StatusView};
 use crate::router::fnv1a64;
 
@@ -225,13 +227,17 @@ impl Core {
     /// fence), a fenced standalone stays fenced, and an unfenced
     /// standalone is primary and replays its admitted-but-unsettled
     /// records (the returned [`Output::Execute`]s) before serving.
+    ///
+    /// `folded` must be [`fold_records`]`(&records)`. Journal recovery
+    /// has already computed it, so a restart folds its history once.
     pub fn new(
         cfg: CoreConfig,
         now: Duration,
         records: Vec<JournalRecord>,
+        folded: Folded,
         state: EpochState,
     ) -> (Core, Vec<Output>) {
-        let (settled, incomplete) = fold_records(&records);
+        let (settled, incomplete) = folded;
         let mut out = Vec::new();
         let (role, fenced_by) = match (&cfg.replica_of, state.fenced) {
             (Some(_), fenced) => {
@@ -1113,7 +1119,7 @@ mod tests {
             epoch,
             fenced: false,
         };
-        Core::new(cfg, ms(0), Vec::new(), state).0
+        Core::new(cfg, ms(0), Vec::new(), Folded::default(), state).0
     }
 
     /// A follower of `p` whose link is up.
@@ -1330,7 +1336,8 @@ mod tests {
             epoch: 1,
             fenced: false,
         };
-        let (mut primary, _) = Core::new(cfg, ms(0), records, state);
+        let folded = fold_records(&records);
+        let (mut primary, _) = Core::new(cfg, ms(0), records, folded, state);
         let hello = ReplMsg::Hello {
             epoch: 1,
             have: 0,
@@ -1386,7 +1393,7 @@ mod tests {
             epoch: 1,
             fenced: false,
         };
-        let (mut rotating, _) = Core::new(cfg, ms(0), Vec::new(), state);
+        let (mut rotating, _) = Core::new(cfg, ms(0), Vec::new(), Folded::default(), state);
         let out = rotating.step(ms(0), msg("f", hello(1)));
         assert_eq!(code(&out), Some("IO-REPL-CORRUPT"));
         assert!(!rotating.streams_to("f"));

@@ -115,7 +115,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use lintra::engine::crc32;
+use lintra::engine::{crc32, crc32_update};
 use lintra_bench::json::Json;
 
 use crate::clock::{Clock, SystemClock};
@@ -470,13 +470,10 @@ pub struct StatusView {
 /// accumulator so far, so two journals share a prefix checksum iff they
 /// share the prefix byte-for-byte. The empty prefix is 0.
 pub fn prefix_crc(records: &[JournalRecord]) -> u32 {
-    let mut acc: u32 = 0;
-    for rec in records {
-        let mut bytes = acc.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&payload_bytes(rec.kind, &rec.rid, &rec.line));
-        acc = crc32(&bytes);
-    }
-    acc
+    records.iter().fold(0, |acc, rec| {
+        let head = crc32(&acc.to_le_bytes());
+        crc32_update(head, &payload_bytes(rec.kind, &rec.rid, &rec.line))
+    })
 }
 
 // --- socket plumbing ------------------------------------------------------
@@ -954,6 +951,41 @@ mod tests {
             prefix_crc(&a),
             "a longer journal has a different checksum"
         );
+    }
+
+    #[test]
+    fn prefix_crc_equals_the_concatenating_definition() {
+        // The chained checksum as first defined: CRC32 of the previous
+        // value's little-endian bytes followed by the record's payload.
+        fn concatenated(records: &[JournalRecord]) -> u32 {
+            let mut acc: u32 = 0;
+            for rec in records {
+                let mut bytes = acc.to_le_bytes().to_vec();
+                bytes.extend_from_slice(&payload_bytes(rec.kind, &rec.rid, &rec.line));
+                acc = crc32(&bytes);
+            }
+            acc
+        }
+        let kinds = [
+            RecordKind::Admit,
+            RecordKind::Done,
+            RecordKind::Fail,
+            RecordKind::Abort,
+        ];
+        let records: Vec<JournalRecord> = (0..40)
+            .map(|i| JournalRecord {
+                kind: kinds[i % 4],
+                rid: format!("key-{i}"),
+                line: format!("{{\"id\":\"r{i}\",\"op\":\"sweep\",\"max\":{i}}}\n"),
+            })
+            .collect();
+        for n in 0..=records.len() {
+            assert_eq!(
+                prefix_crc(&records[..n]),
+                concatenated(&records[..n]),
+                "n {n}"
+            );
+        }
     }
 
     #[test]

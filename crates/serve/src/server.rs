@@ -445,7 +445,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         let epoch_path = epoch_dir.join(replicate::EPOCH_FILE);
         let state = replicate::load_epoch_state(&epoch_path)
             .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?;
-        durable = Some((journal, rec.records, state, epoch_path));
+        let folded = (rec.completed, rec.incomplete);
+        durable = Some((journal, rec.records, folded, state, epoch_path));
     }
     let timer_thread = config.replica_of.is_some() || !config.peers.is_empty();
 
@@ -454,7 +455,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     let clock = SystemClock::new();
 
     let mut boot = Vec::new();
-    let repl = durable.map(|(journal, records, state, epoch_path)| {
+    let repl = durable.map(|(journal, records, folded, state, epoch_path)| {
         let cfg = CoreConfig {
             self_addr: addr.to_string(),
             peers: config.peers.clone(),
@@ -465,7 +466,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             nonce: process_nonce(&epoch_path, &clock),
             source: config.journal_rotate_bytes.is_none(),
         };
-        let (core, outs) = Core::new(cfg, clock.now(), records, state);
+        let (core, outs) = Core::new(cfg, clock.now(), records, folded, state);
         for out in outs {
             match out {
                 // An explicit --replica-of rejoin clears a persisted

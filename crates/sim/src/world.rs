@@ -30,7 +30,7 @@ use lintra::matrix::rng::SplitMix64;
 use lintra::ErrorClass;
 use lintra_bench::json::Json;
 use lintra_bench::wire::{WireFailure, WireOp, WireRequest, WireResponse};
-use lintra_serve::journal::JournalRecord;
+use lintra_serve::journal::{fold_records, JournalRecord};
 use lintra_serve::protocol::{Core, CoreConfig, Input, Output, Storage};
 use lintra_serve::replicate::{EpochState, ReplMsg, Role};
 
@@ -440,6 +440,7 @@ impl<E> World<E> {
             node.cfg.clone(),
             local,
             node.disk.journal.clone(),
+            fold_records(&node.disk.journal),
             node.disk.epoch,
         );
         if restart {

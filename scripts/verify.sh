@@ -80,6 +80,14 @@ timeout --kill-after=10 30 ./target/release/lintra sim --shards 2 \
 timeout --kill-after=10 600 cargo test --release -p lintra-sim --test sim -q \
   -- --ignored
 
+echo "== parsers: deep fuzz sweep of JSON, wire and journal parsing (release, hard timeout) =="
+# Random bytes, damaged wire lines and journal records, and nesting far
+# past json::MAX_DEPTH: Json::parse, WireRequest::parse and journal::scan
+# must return every time. 16–24 s in release on a 2-vCPU host; a hang
+# or a stack overflow fails here.
+timeout --kill-after=10 120 cargo test --release -p lintra-serve \
+  --test parser_fuzz -q -- --ignored
+
 echo "== service: scripts/chaos.sh =="
 ./scripts/chaos.sh
 

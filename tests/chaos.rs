@@ -132,6 +132,45 @@ fn malformed_requests_get_val_malformed_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_lines_get_val_malformed_and_the_server_keeps_answering() {
+    let server = start(chaos_config()).expect("server starts");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // 40 KB lines, far inside the frame cap: before the parser bounded
+    // its nesting, the first one overflowed a connection thread's stack
+    // and aborted the whole server.
+    let arrays = "[".repeat(20_000) + &"]".repeat(20_000);
+    let objects = "{\"a\":".repeat(8_000) + "1" + &"}".repeat(8_000);
+    for deep in [arrays, objects] {
+        stream.write_all(deep.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("server answers");
+        let resp = WireResponse::parse(&line).expect("response parses");
+        let failure = resp.outcome.expect_err("deep nesting must be refused");
+        assert_eq!(failure.code, "VAL-MALFORMED-REQUEST", "{}", failure.message);
+        assert!(
+            failure.message.contains("nested too deep"),
+            "{}",
+            failure.message
+        );
+    }
+
+    let ping = WireRequest::new("after-deep", WireOp::Ping).render_line();
+    stream.write_all(ping.as_bytes()).expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let resp = WireResponse::parse(&line).expect("parse");
+    assert_eq!(resp.id, "after-deep");
+    assert!(resp.outcome.is_ok(), "{resp:?}");
+
+    drop(stream);
+    assert_serviceable(&fast_client(&server), "deep");
+    server.shutdown();
+}
+
+#[test]
 fn a_client_dying_mid_write_leaves_the_server_serviceable() {
     let server = start(chaos_config()).expect("server starts");
     for seed in [3, 17, 99] {

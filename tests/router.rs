@@ -479,6 +479,40 @@ fn garbage_gets_val_malformed_from_the_router_itself() {
 }
 
 #[test]
+fn deeply_nested_lines_are_refused_and_the_router_keeps_answering() {
+    let live = shard_server();
+    let router = quiet_router_over(&live.addr().to_string());
+    let mut stream = TcpStream::connect(router.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+
+    // The router parses every line itself (status query, then request)
+    // before it forwards anything.
+    let arrays = "[".repeat(20_000) + &"]".repeat(20_000);
+    let objects = "{\"router\":".repeat(8_000) + "1" + &"}".repeat(8_000);
+    for deep in [arrays, objects] {
+        stream.write_all(deep.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("router answers");
+        let resp = WireResponse::parse(&line).expect("response parses");
+        let failure = resp.outcome.expect_err("deep nesting must be refused");
+        assert_eq!(failure.code, "VAL-MALFORMED-REQUEST", "{}", failure.message);
+        assert_eq!(failure.class, ErrorClass::Validation);
+    }
+
+    let ping = keyed_ping("after-deep").render_line();
+    stream.write_all(ping.as_bytes()).expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let resp = WireResponse::parse(&line).expect("parse");
+    assert!(resp.outcome.is_ok(), "{resp:?}");
+
+    router.shutdown();
+    let stats = live.shutdown();
+    assert_eq!(stats.requests_failed, 0, "no shard saw the deep lines");
+}
+
+#[test]
 fn the_router_caps_newline_free_floods_with_val_frame_too_large() {
     let live = shard_server();
     let router =
