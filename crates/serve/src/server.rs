@@ -2,8 +2,10 @@
 //!
 //! Transport: newline-delimited JSON over TCP (see
 //! [`lintra_bench::wire`]), one thread per connection, requests handled
-//! inline on the connection thread with sweeps fanned out through the
-//! shared engine [`ThreadPool`]. Robustness machinery, outermost first:
+//! inline on the connection thread: `tables` fans out over the shared
+//! engine [`ThreadPool`], and each request's points (a sweep's unfolding
+//! factors, an optimization's one point) run in order on one worker
+//! under the watchdog. Robustness machinery, outermost first:
 //!
 //! 1. **Malformed input** never crosses the parse boundary: any
 //!    unparseable or invalid request line is answered with a
@@ -17,9 +19,9 @@
 //!    Sweeps observe it between points, so an expired request returns
 //!    `RES-DEADLINE` within one sweep point of its budget — the "2× the
 //!    deadline" service guarantee.
-//! 4. **Watchdog**: a sweep point exceeding
-//!    [`ServerConfig::stall_budget`] is flagged `RES-WORKER-STALL`
-//!    rather than trusted.
+//! 4. **Watchdog**: a sweep point whose run, from its start to its
+//!    return, exceeds [`ServerConfig::stall_budget`] is flagged
+//!    `RES-WORKER-STALL` rather than trusted.
 //! 5. **Circuit breaker**: consecutive engine worker panics open the
 //!    breaker ([`crate::breaker`]); requests are rejected with
 //!    `RES-CIRCUIT-OPEN` until a cooldown and a successful probe.
@@ -95,7 +97,7 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
 use crate::journal::Journal;
 use crate::protocol::{Core, CoreConfig, Input, Output};
-use crate::replicate::{self, Repl, ReplChaos, ReplMsg, StatusView};
+use crate::replicate::{self, Disk, Repl, ReplChaos, ReplMsg, StatusView};
 use crate::signal;
 use crate::transport::{accept_loop, serve_connection, Conn, Listener};
 
@@ -123,7 +125,8 @@ pub struct ServerConfig {
     pub stall_budget: Duration,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Engine worker threads (`None` = `LINTRA_JOBS` / auto-detect).
+    /// Engine worker threads for `tables` (`None` = `LINTRA_JOBS` /
+    /// auto-detect). A sweep runs on one worker whatever this says.
     pub jobs: Option<usize>,
     /// Honor the wire `fault` member (chaos testing only).
     pub chaos: bool,
@@ -466,18 +469,13 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             nonce: process_nonce(&epoch_path, &clock),
             source: config.journal_rotate_bytes.is_none(),
         };
-        let (core, outs) = Core::new(cfg, clock.now(), records, folded, state);
-        for out in outs {
-            match out {
-                // An explicit --replica-of rejoin clears a persisted
-                // fence: the operator chose a primary to resync from.
-                Output::PersistEpoch(state) => {
-                    let _ = replicate::store_epoch_state(&epoch_path, state);
-                }
-                out => boot.push(out),
-            }
-        }
-        Repl::new(core, journal, epoch_path, timer_thread)
+        let mut disk = Disk {
+            journal,
+            epoch_path,
+        };
+        let (core, replays) = Core::new(cfg, clock.now(), records, folded, state, &mut disk);
+        boot = replays;
+        Repl::new(core, disk, timer_thread)
     });
 
     let shared = Arc::new(Shared {
@@ -1034,13 +1032,17 @@ fn execute(
             // stalls/panics land after some healthy points completed.
             let target = (*max_i as usize) / 2;
             let points: Vec<u32> = (0..=*max_i).collect();
-            let results = shared.pool.map_ctl(
+            // Each point extends the design's chain under the shared
+            // cache lock, so the points run in index order on one
+            // worker: a second one would only wait on the lock inside
+            // its watchdog-timed region (DESIGN §5d).
+            let results = ThreadPool::new(1).map_ctl(
                 points,
                 |i| {
                     // Chaos faults fire BEFORE the cache lock: a stalled
-                    // point never blocks siblings out of the cache, and
-                    // an injected panic never lands while the cache is
-                    // mid-update. Cached unfolds are bit-identical to
+                    // point never holds other sweeps out of the cache,
+                    // and an injected panic never lands while the cache
+                    // is mid-update. Cached unfolds are bit-identical to
                     // from-scratch `unfold` (the cache's contract), so
                     // rerouting the sweep changes no response bytes.
                     chaos_delay(fault, i as usize, target, shared);
@@ -1173,6 +1175,25 @@ mod tests {
             "{}",
             failure.message
         );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_long_sweep_on_several_workers_is_never_starved_into_a_stall() {
+        // Every point extends one design's chain under the shared cache
+        // lock. Spread over two workers, one worker's point waited out
+        // the other's whole run of points and was flagged as a stall.
+        let handle = start(ServerConfig {
+            jobs: Some(2),
+            stall_budget: Duration::from_millis(400),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let line = "{\"id\":\"s\",\"op\":\"sweep\",\"design\":\"iir10\",\"max_i\":600}\n";
+        let resp = WireResponse::parse(&raw_round_trip(handle.addr(), line)).expect("response");
+        let result = resp.outcome.expect("no point may stall");
+        let rows = result.get("rows").and_then(Json::as_arr).map(<[Json]>::len);
+        assert_eq!(rows, Some(601));
         handle.shutdown();
     }
 

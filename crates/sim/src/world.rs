@@ -442,6 +442,7 @@ impl<E> World<E> {
             node.disk.journal.clone(),
             fold_records(&node.disk.journal),
             node.disk.epoch,
+            &mut node.disk,
         );
         if restart {
             let line = format!(
@@ -470,7 +471,7 @@ impl<E> World<E> {
             return;
         };
         let was = core.role();
-        let outs = core.step_with(local, input, &mut node.disk);
+        let outs = core.step(local, input, &mut node.disk);
         self.apply(ni, was, outs);
     }
 
@@ -538,8 +539,6 @@ impl<E> World<E> {
                     self.trace.push(line);
                 }
                 Output::Log(line) => self.trace.push(format!("t={}ms {addr}: {line}", self.now)),
-                Output::PersistEpoch(state) => self.nodes[ni].disk.epoch = state,
-                Output::Append(_) => {}
             }
         }
         self.rearm(ni);
