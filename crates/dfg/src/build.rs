@@ -75,7 +75,7 @@ pub fn sum_to_node(g: &mut Dfg, terms: Vec<Term>) -> Result<NodeId, DfgError> {
 /// Propagates [`DfgError`] from node insertion.
 pub fn term_to_node(g: &mut Dfg, t: Term) -> Result<NodeId, DfgError> {
     if t.neg {
-        g.push(NodeKind::Neg, vec![t.node])
+        g.push(NodeKind::Neg, &[t.node])
     } else {
         Ok(t.node)
     }
@@ -97,19 +97,19 @@ fn balanced_tree(g: &mut Dfg, mut terms: Vec<Term>) -> Result<Option<Term>, DfgE
             let (a, b) = (pair[0], pair[1]);
             let combined = match (a.neg, b.neg) {
                 (false, false) => Term {
-                    node: g.push(NodeKind::Add, vec![a.node, b.node])?,
+                    node: g.push(NodeKind::Add, &[a.node, b.node])?,
                     neg: false,
                 },
                 (false, true) => Term {
-                    node: g.push(NodeKind::Sub, vec![a.node, b.node])?,
+                    node: g.push(NodeKind::Sub, &[a.node, b.node])?,
                     neg: false,
                 },
                 (true, false) => Term {
-                    node: g.push(NodeKind::Sub, vec![b.node, a.node])?,
+                    node: g.push(NodeKind::Sub, &[b.node, a.node])?,
                     neg: false,
                 },
                 (true, true) => Term {
-                    node: g.push(NodeKind::Add, vec![a.node, b.node])?,
+                    node: g.push(NodeKind::Add, &[a.node, b.node])?,
                     neg: true,
                 },
             };
@@ -124,8 +124,8 @@ fn balanced_tree(g: &mut Dfg, mut terms: Vec<Term>) -> Result<Option<Term>, DfgE
 /// negative, or a `Const(0)` node for an empty list.
 fn balanced_sum(g: &mut Dfg, terms: Vec<Term>) -> Result<NodeId, DfgError> {
     match balanced_tree(g, terms)? {
-        None => g.push(NodeKind::Const(0.0), vec![]),
-        Some(t) if t.neg => g.push(NodeKind::Neg, vec![t.node]),
+        None => g.push(NodeKind::Const(0.0), &[]),
+        Some(t) if t.neg => g.push(NodeKind::Neg, &[t.node]),
         Some(t) => Ok(t.node),
     }
 }
@@ -146,7 +146,7 @@ fn coeff_term(g: &mut Dfg, coeff: f64, src: NodeId) -> Result<Option<Term>, DfgE
         // still a constant multiplication node; the ASIC passes in
         // `lintra-transform` rewrite it into a Shift.
         CoeffClass::PowerOfTwo { .. } | CoeffClass::General => Some(Term {
-            node: g.push(NodeKind::MulConst(coeff), vec![src])?,
+            node: g.push(NodeKind::MulConst(coeff), &[src])?,
             neg: false,
         }),
     })
@@ -186,7 +186,7 @@ fn build_rows(
         }
         let root = balanced_sum(g, terms)?;
         let kind = sink(r);
-        g.push(kind, vec![root])?;
+        g.push(kind, &[root])?;
     }
     Ok(())
 }
@@ -233,7 +233,7 @@ fn from_state_space_batched(
     let mut g = Dfg::new();
     let mut states = Vec::with_capacity(sys.num_states());
     for i in 0..sys.num_states() {
-        states.push(g.push(NodeKind::StateIn { index: i }, vec![])?);
+        states.push(g.push(NodeKind::StateIn { index: i }, &[])?);
     }
     let mut inputs = Vec::with_capacity(sys.num_inputs());
     for i in 0..sys.num_inputs() {
@@ -242,7 +242,7 @@ fn from_state_space_batched(
                 sample: i / p,
                 channel: i % p,
             },
-            vec![],
+            &[],
         )?);
     }
     build_rows(&mut g, sys.a(), &states, sys.b(), &inputs, |r| {

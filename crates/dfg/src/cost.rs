@@ -131,22 +131,22 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-        let m = g.push(NodeKind::MulConst(0.5), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m, s]).unwrap();
-        let sh = g.push(NodeKind::Shift(1), vec![a]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+        let m = g.push(NodeKind::MulConst(0.5), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[m, s]).unwrap();
+        let sh = g.push(NodeKind::Shift(1), &[a]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![sh],
+            &[sh],
         )
         .unwrap();
-        g.push(NodeKind::StateOut { index: 0 }, vec![sh]).unwrap();
+        g.push(NodeKind::StateOut { index: 0 }, &[sh]).unwrap();
         g
     }
 

@@ -75,14 +75,73 @@ impl NodeKind {
     }
 }
 
+/// A node's predecessor ids, held inline: no operator takes more than
+/// two, so a node owns no heap memory. Derefs to `[NodeId]`, so
+/// `preds.iter()`, `preds[k]` and `preds.len()` read it like a slice.
+#[derive(Clone, Copy)]
+pub struct Preds {
+    len: u8,
+    ids: [NodeId; 2],
+}
+
+impl Preds {
+    /// `ids` as an inline list; `None` past two ids.
+    fn new(ids: &[NodeId]) -> Option<Preds> {
+        let (len, ids) = match *ids {
+            [] => (0, [NodeId(0); 2]),
+            [a] => (1, [a, NodeId(0)]),
+            [a, b] => (2, [a, b]),
+            _ => return None,
+        };
+        Some(Preds { len, ids })
+    }
+}
+
+impl std::ops::Deref for Preds {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for Preds {
+    fn deref_mut(&mut self) -> &mut [NodeId] {
+        &mut self.ids[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a Preds {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Preds {
+    fn eq(&self, other: &Preds) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Preds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One node: an operator and its predecessor edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operator.
     pub kind: NodeKind,
     /// Predecessor node ids (all strictly smaller than this node's id).
-    pub preds: Vec<NodeId>,
+    pub preds: Preds,
 }
+
+const _: () = assert!(!std::mem::needs_drop::<Node>());
 
 /// Error from [`Dfg::push`], [`Dfg::validate`], or [`Dfg::simulate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,13 +285,16 @@ impl Dfg {
     /// # Errors
     ///
     /// Returns [`DfgError`] on arity mismatch or forward references.
-    pub fn push(&mut self, kind: NodeKind, preds: Vec<NodeId>) -> Result<NodeId, DfgError> {
-        if preds.len() != kind.arity() {
-            return Err(DfgError::Arity {
-                expected: kind.arity(),
-                actual: preds.len(),
-            });
-        }
+    pub fn push(&mut self, kind: NodeKind, preds: &[NodeId]) -> Result<NodeId, DfgError> {
+        let preds = match Preds::new(preds) {
+            Some(list) if list.len() == kind.arity() => list,
+            _ => {
+                return Err(DfgError::Arity {
+                    expected: kind.arity(),
+                    actual: preds.len(),
+                })
+            }
+        };
         let id = self.nodes.len();
         for p in &preds {
             if p.0 >= id {
@@ -417,32 +479,6 @@ impl Dfg {
         }
         Ok((outs, states))
     }
-
-    /// Graphviz DOT rendering.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph dfg {\n  rankdir=LR;\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            let label = match n.kind {
-                NodeKind::Input { sample, channel } => format!("x[{sample}][{channel}]"),
-                NodeKind::StateIn { index } => format!("s{index}"),
-                NodeKind::Const(c) => format!("{c}"),
-                NodeKind::Add => "+".into(),
-                NodeKind::Sub => "-".into(),
-                NodeKind::MulConst(c) => format!("*{c:.4}"),
-                NodeKind::Shift(k) => format!("<<{k}"),
-                NodeKind::Neg => "neg".into(),
-                NodeKind::Delay => "D".into(),
-                NodeKind::Output { sample, channel } => format!("y[{sample}][{channel}]"),
-                NodeKind::StateOut { index } => format!("s{index}'"),
-            };
-            s.push_str(&format!("  n{i} [label=\"{label}\"];\n"));
-            for p in &n.preds {
-                s.push_str(&format!("  n{} -> n{i};\n", p.0));
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -458,41 +494,49 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-        let a = g.push(NodeKind::Add, vec![x, s]).unwrap();
-        let m = g.push(NodeKind::MulConst(0.5), vec![a]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+        let a = g.push(NodeKind::Add, &[x, s]).unwrap();
+        let m = g.push(NodeKind::MulConst(0.5), &[a]).unwrap();
         let y = g
             .push(
                 NodeKind::Output {
                     sample: 0,
                     channel: 0,
                 },
-                vec![m],
+                &[m],
             )
             .unwrap();
-        let _ = g.push(NodeKind::StateOut { index: 0 }, vec![m]).unwrap();
+        let _ = g.push(NodeKind::StateOut { index: 0 }, &[m]).unwrap();
         (g, y)
     }
 
     #[test]
     fn arity_enforced() {
         let mut g = Dfg::new();
-        let x = g.push(NodeKind::Const(1.0), vec![]).unwrap();
+        let x = g.push(NodeKind::Const(1.0), &[]).unwrap();
         assert_eq!(
-            g.push(NodeKind::Add, vec![x]).unwrap_err(),
+            g.push(NodeKind::Add, &[x]).unwrap_err(),
             DfgError::Arity {
                 expected: 2,
                 actual: 1
             }
         );
         assert_eq!(
-            g.push(NodeKind::Const(2.0), vec![x]).unwrap_err(),
+            g.push(NodeKind::Const(2.0), &[x]).unwrap_err(),
             DfgError::Arity {
                 expected: 0,
                 actual: 1
+            }
+        );
+        // No operator takes three; the inline list refuses them too.
+        assert_eq!(
+            g.push(NodeKind::Add, &[x, x, x]).unwrap_err(),
+            DfgError::Arity {
+                expected: 2,
+                actual: 3
             }
         );
     }
@@ -500,7 +544,7 @@ mod tests {
     #[test]
     fn forward_reference_rejected() {
         let mut g = Dfg::new();
-        let err = g.push(NodeKind::Neg, vec![NodeId(5)]).unwrap_err();
+        let err = g.push(NodeKind::Neg, &[NodeId(5)]).unwrap_err();
         assert_eq!(err, DfgError::ForwardReference { pred: 5, node: 0 });
     }
 
@@ -589,19 +633,19 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m = g.push(NodeKind::MulConst(0.3), vec![x]).unwrap();
-        let d = g.push(NodeKind::Delay, vec![m]).unwrap();
-        let a = g.push(NodeKind::Add, vec![d, x]).unwrap();
+        let m = g.push(NodeKind::MulConst(0.3), &[x]).unwrap();
+        let d = g.push(NodeKind::Delay, &[m]).unwrap();
+        let a = g.push(NodeKind::Add, &[d, x]).unwrap();
         let _ = g
             .push(
                 NodeKind::Output {
                     sample: 0,
                     channel: 0,
                 },
-                vec![a],
+                &[a],
             )
             .unwrap();
         let t = OpTiming {
@@ -622,16 +666,16 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         let mut acc = x;
         for _ in 0..5 {
-            acc = g.push(NodeKind::MulConst(0.9), vec![acc]).unwrap();
+            acc = g.push(NodeKind::MulConst(0.9), &[acc]).unwrap();
         }
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-        let sum = g.push(NodeKind::Add, vec![acc, s]).unwrap();
-        let _ = g.push(NodeKind::StateOut { index: 0 }, vec![sum]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+        let sum = g.push(NodeKind::Add, &[acc, s]).unwrap();
+        let _ = g.push(NodeKind::StateOut { index: 0 }, &[sum]).unwrap();
         let t = OpTiming {
             t_mul: 2.0,
             t_add: 1.0,
@@ -650,33 +694,24 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let up = g.push(NodeKind::Shift(3), vec![x]).unwrap();
-        let dn = g.push(NodeKind::Shift(-2), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![up, dn]).unwrap();
+        let up = g.push(NodeKind::Shift(3), &[x]).unwrap();
+        let dn = g.push(NodeKind::Shift(-2), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[up, dn]).unwrap();
         let _ = g
             .push(
                 NodeKind::Output {
                     sample: 0,
                     channel: 0,
                 },
-                vec![a],
+                &[a],
             )
             .unwrap();
         let mut inputs = HashMap::new();
         inputs.insert((0, 0), 4.0);
         let (outs, _) = g.simulate(&[], &inputs).unwrap();
         assert_eq!(outs[&(0, 0)], 33.0);
-    }
-
-    #[test]
-    fn dot_contains_nodes_and_edges() {
-        let (g, _) = chain();
-        let dot = g.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("*0.5"));
-        assert!(dot.contains("->"));
     }
 }

@@ -18,8 +18,7 @@
 //!   graphs (op counts, processor cycles, critical path here; the `C·V²`
 //!   energy model implements it from `lintra-power`),
 //! * bit-true [`Dfg::simulate`] used to prove builders equivalent to the
-//!   state-space semantics,
-//! * [`Dfg::to_dot`] for inspection.
+//!   state-space semantics.
 //!
 //! # Examples
 //!

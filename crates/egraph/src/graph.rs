@@ -5,6 +5,7 @@ use crate::fx::FxHashMap;
 use crate::rules::RuleScratch;
 use crate::{RuleSet, SaturationBudget, SaturationStats, StopReason};
 use lintra_dfg::{CostModel, Dfg, DfgError, NodeId, NodeKind, OpCountCost};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Instant;
@@ -381,8 +382,8 @@ impl<'a> Iterator for ClassNodes<'a> {
 /// Classes own no heap memory. Every class's members are linked cells in
 /// one append-only arena and every class's parent entries in another, and
 /// a small per-id slot holds the two lists' ends. Cells are never freed
-/// before the e-graph drops, so dropping it frees a handful of vectors.
-/// The lists keep this order:
+/// before the e-graph drops, so its tables are a handful of vectors and
+/// one map. The lists keep this order:
 ///
 /// 1. A union splices the absorbed class's members after the root's, so
 ///    until the next rebuild a merged class lists the root's nodes, then
@@ -397,13 +398,20 @@ impl<'a> Iterator for ClassNodes<'a> {
 ///    canonical, sorted and deduplicated, written over the first cells of
 ///    its own lists.
 /// 5. Live classes are visited in ascending id order.
-#[derive(Debug, Clone, Default)]
+///
+/// The tables are recycled per thread: dropping an e-graph clears them
+/// and leaves them with its thread, and that thread's next
+/// [`EGraph::new`] (or [`EGraph::from_dfg`]) takes them over, so a
+/// worker running design after design allocates and faults in its
+/// tables once. A thread keeps at most one set and frees it when it
+/// exits.
+#[derive(Debug, Clone)]
 pub struct EGraph {
     /// Union-find parent pointers; `uf[i] == i` marks a canonical class.
     /// `Cell` so lookups can path-halve behind `&self` — without the
     /// compression, merge cascades leave chains that turn every `find`
     /// into a long walk and large saturations quadratic.
-    uf: Vec<std::cell::Cell<u32>>,
+    uf: Vec<Cell<u32>>,
     /// Per id: live flag and list ends.
     slots: Vec<Slot>,
     /// Class members. E-node `i` enters as cell `i`, the one member of
@@ -412,7 +420,10 @@ pub struct EGraph {
     nodes: Vec<NodeCell>,
     /// Parent entries: `add` appends one cell per child.
     parents: Vec<ParentCell>,
-    /// Canonical e-node → class (Fx-hashed: see [`crate::fx`]).
+    /// Canonical e-node → class (Fx-hashed: see [`crate::fx`]). Only
+    /// ever looked up, inserted into and removed from, never iterated:
+    /// its capacity, which a recycled table carries over from a larger
+    /// e-graph, then cannot change any order or result.
     memo: FxHashMap<ENode, u32>,
     /// Classes whose contents need re-canonicalization after unions.
     dirty: Vec<u32>,
@@ -424,10 +435,75 @@ pub struct EGraph {
     pending: Vec<(u32, u32)>,
 }
 
+/// An e-graph's tables, emptied, between one e-graph on a thread and
+/// the next.
+#[derive(Default)]
+struct Tables {
+    uf: Vec<Cell<u32>>,
+    slots: Vec<Slot>,
+    nodes: Vec<NodeCell>,
+    parents: Vec<ParentCell>,
+    memo: FxHashMap<ENode, u32>,
+    dirty: Vec<u32>,
+    pending: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    /// The tables of the last e-graph this thread dropped.
+    static SPARE: Cell<Option<Tables>> = const { Cell::new(None) };
+}
+
+impl Default for EGraph {
+    fn default() -> EGraph {
+        EGraph::new()
+    }
+}
+
+impl Drop for EGraph {
+    /// Clears the tables and keeps them for this thread's next e-graph,
+    /// unless the thread already keeps a set. While the thread is being
+    /// torn down its spare is gone and the tables are simply freed.
+    fn drop(&mut self) {
+        fn cleared<T>(v: &mut Vec<T>) -> Vec<T> {
+            let mut v = std::mem::take(v);
+            v.clear();
+            v
+        }
+        let mut memo = std::mem::take(&mut self.memo);
+        memo.clear();
+        let tables = Tables {
+            uf: cleared(&mut self.uf),
+            slots: cleared(&mut self.slots),
+            nodes: cleared(&mut self.nodes),
+            parents: cleared(&mut self.parents),
+            memo,
+            dirty: cleared(&mut self.dirty),
+            pending: cleared(&mut self.pending),
+        };
+        let _ = SPARE.try_with(|spare| {
+            let kept = spare.take();
+            spare.set(Some(kept.unwrap_or(tables)));
+        });
+    }
+}
+
 impl EGraph {
-    /// An empty e-graph.
+    /// An empty e-graph, on this thread's spare tables when it has them.
     pub fn new() -> EGraph {
-        EGraph::default()
+        let t = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        EGraph {
+            uf: t.uf,
+            slots: t.slots,
+            nodes: t.nodes,
+            parents: t.parents,
+            memo: t.memo,
+            dirty: t.dirty,
+            pending: t.pending,
+        }
     }
 
     fn find_u(&self, mut x: u32) -> u32 {
@@ -490,7 +566,7 @@ impl EGraph {
             return Id(self.find_u(c));
         }
         let id = self.uf.len() as u32;
-        self.uf.push(std::cell::Cell::new(id));
+        self.uf.push(Cell::new(id));
         self.nodes.push(NodeCell { node, next: NIL });
         self.slots.push(Slot {
             live: true,
@@ -1245,14 +1321,16 @@ impl EGraph {
                         let Some(node) = best[c as usize] else {
                             return Err(EgraphError::Unextractable { class: c });
                         };
-                        let mut preds = Vec::new();
+                        let mut preds = [NodeId(0); 2];
+                        let mut arity = 0;
                         for child in node.children().into_iter().flatten() {
                             match node_of[self.find_u(child.0) as usize] {
-                                Some(id) => preds.push(id),
+                                Some(id) => preds[arity] = id,
                                 None => return Err(EgraphError::Unextractable { class: c }),
                             }
+                            arity += 1;
                         }
-                        let id = dfg.push(node.to_kind(), preds)?;
+                        let id = dfg.push(node.to_kind(), &preds[..arity])?;
                         node_of[c as usize] = Some(id);
                         on_stack[c as usize] = false;
                     }
@@ -1269,10 +1347,10 @@ impl EGraph {
             states.push((index, emit_root(&mut dfg, root)?));
         }
         for (sample, channel, pred) in outs {
-            dfg.push(NodeKind::Output { sample, channel }, vec![pred])?;
+            dfg.push(NodeKind::Output { sample, channel }, &[pred])?;
         }
         for (index, pred) in states {
-            dfg.push(NodeKind::StateOut { index }, vec![pred])?;
+            dfg.push(NodeKind::StateOut { index }, &[pred])?;
         }
         dfg.validate()?;
         Ok(dfg)
@@ -1381,22 +1459,22 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-        let m = g.push(NodeKind::MulConst(0.75), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m, s]).unwrap();
-        let d = g.push(NodeKind::MulConst(0.5), vec![s]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+        let m = g.push(NodeKind::MulConst(0.75), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[m, s]).unwrap();
+        let d = g.push(NodeKind::MulConst(0.5), &[s]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![a],
+            &[a],
         )
         .unwrap();
-        g.push(NodeKind::StateOut { index: 0 }, vec![d]).unwrap();
+        g.push(NodeKind::StateOut { index: 0 }, &[d]).unwrap();
         g
     }
 
@@ -1492,7 +1570,7 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         other
@@ -1501,7 +1579,7 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![x],
+                &[x],
             )
             .unwrap();
         let b = eg.add_dfg(&other).unwrap();
@@ -1516,10 +1594,10 @@ mod tests {
         // index would keep only the last pair and unite it silently.
         let twice_state_zero = |c: f64| {
             let mut g = Dfg::new();
-            let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-            let m = g.push(NodeKind::MulConst(c), vec![s]).unwrap();
-            g.push(NodeKind::StateOut { index: 0 }, vec![s]).unwrap();
-            g.push(NodeKind::StateOut { index: 0 }, vec![m]).unwrap();
+            let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+            let m = g.push(NodeKind::MulConst(c), &[s]).unwrap();
+            g.push(NodeKind::StateOut { index: 0 }, &[s]).unwrap();
+            g.push(NodeKind::StateOut { index: 0 }, &[m]).unwrap();
             g
         };
         let (a, b) = (twice_state_zero(0.5), twice_state_zero(0.25));
@@ -1542,16 +1620,16 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m = mul.push(NodeKind::MulConst(4.0), vec![x]).unwrap();
+        let m = mul.push(NodeKind::MulConst(4.0), &[x]).unwrap();
         mul.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![m],
+            &[m],
         )
         .unwrap();
 
@@ -1562,17 +1640,17 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let s = shift.push(NodeKind::Shift(2), vec![x2]).unwrap();
+        let s = shift.push(NodeKind::Shift(2), &[x2]).unwrap();
         shift
             .push(
                 NodeKind::Output {
                     sample: 0,
                     channel: 0,
                 },
-                vec![s],
+                &[s],
             )
             .unwrap();
 
@@ -1641,7 +1719,7 @@ mod tests {
                     sample: too_big,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         g.push(
@@ -1649,7 +1727,7 @@ mod tests {
                 sample: 0,
                 channel: 0,
             },
-            vec![x],
+            &[x],
         )
         .unwrap();
         let err = EGraph::from_dfg(&g).unwrap_err();
@@ -1664,14 +1742,14 @@ mod tests {
                 NodeKind::StateIn {
                     index: u32::MAX as usize,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         g.push(
             NodeKind::StateOut {
                 index: u32::MAX as usize,
             },
-            vec![s],
+            &[s],
         )
         .unwrap();
         let (eg, roots) = EGraph::from_dfg(&g).unwrap();
@@ -1838,6 +1916,55 @@ mod tests {
             }
         }
         assert!(eg.class_count() < eg.len() / 2, "unions merged too little");
+    }
+
+    fn capacities(eg: &EGraph) -> [usize; 7] {
+        [
+            eg.uf.capacity(),
+            eg.slots.capacity(),
+            eg.nodes.capacity(),
+            eg.parents.capacity(),
+            eg.memo.capacity(),
+            eg.dirty.capacity(),
+            eg.pending.capacity(),
+        ]
+    }
+
+    #[test]
+    fn the_next_egraph_on_a_thread_reuses_the_dropped_ones_tables_empty() {
+        // A thread of its own: no earlier e-graph left tables behind.
+        std::thread::spawn(|| {
+            let (mut eg, _) = EGraph::from_dfg(&small_filter()).unwrap();
+            eg.saturate(
+                &RuleSet::asic(12, Recoding::Csd),
+                &SaturationBudget::default(),
+            );
+            // Leave a union of two classes with parents unrebuilt, so both
+            // rebuild queues hold entries.
+            let x = eg.add(ENode::Input {
+                sample: 0,
+                channel: 0,
+            });
+            let s = eg.add(ENode::StateIn { index: 0 });
+            assert!(eg.union(x, s));
+            assert!(!eg.dirty.is_empty() && !eg.pending.is_empty());
+            let used = capacities(&eg);
+            assert!(used.iter().all(|&c| c > 0), "{used:?}");
+            drop(eg);
+
+            let fresh = EGraph::new();
+            assert_eq!(capacities(&fresh), used);
+            assert!(fresh.is_empty());
+            assert_eq!(fresh.class_count(), 0);
+            assert!(fresh.slots.is_empty() && fresh.nodes.is_empty() && fresh.parents.is_empty());
+            assert!(fresh.memo.is_empty());
+            assert!(fresh.dirty.is_empty() && fresh.pending.is_empty());
+            // It holds the thread's one spare: a second e-graph alive at
+            // the same time starts on tables of its own.
+            assert_eq!(capacities(&EGraph::new()), [0; 7]);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -45,10 +45,10 @@
 //! // y = (x * 1.0) - x  — saturation discovers y = x + (−x) and folds
 //! // the unit multiplier away.
 //! let mut g = Dfg::new();
-//! let x = g.push(NodeKind::Input { sample: 0, channel: 0 }, vec![])?;
-//! let m = g.push(NodeKind::MulConst(1.0), vec![x])?;
-//! let s = g.push(NodeKind::Sub, vec![m, x])?;
-//! g.push(NodeKind::Output { sample: 0, channel: 0 }, vec![s])?;
+//! let x = g.push(NodeKind::Input { sample: 0, channel: 0 }, &[])?;
+//! let m = g.push(NodeKind::MulConst(1.0), &[x])?;
+//! let s = g.push(NodeKind::Sub, &[m, x])?;
+//! g.push(NodeKind::Output { sample: 0, channel: 0 }, &[s])?;
 //!
 //! let (mut eg, roots) = EGraph::from_dfg(&g)?;
 //! let stats = eg.saturate(&RuleSet::exact(), &SaturationBudget::default());

@@ -1124,18 +1124,18 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m1 = g.push(NodeKind::MulConst(185.0 / 256.0), vec![x]).unwrap();
-        let m2 = g.push(NodeKind::MulConst(235.0 / 256.0), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m1, m2]).unwrap();
+        let m1 = g.push(NodeKind::MulConst(185.0 / 256.0), &[x]).unwrap();
+        let m2 = g.push(NodeKind::MulConst(235.0 / 256.0), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[m1, m2]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![a],
+            &[a],
         )
         .unwrap();
 

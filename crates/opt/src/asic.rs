@@ -8,7 +8,7 @@
 //! multiply-accumulate datapath at the initial voltage.
 
 use crate::{scale_or_fallback, DiagCode, Diagnostic, OptError, TechConfig};
-use lintra_dfg::{build, CostModel, CriticalPathCost, OpCounts, OpTiming};
+use lintra_dfg::{build, CostModel, CriticalPathCost, Dfg, OpCounts, OpTiming};
 use lintra_engine::SweepCache;
 use lintra_linsys::StateSpace;
 use lintra_mcm::Recoding;
@@ -71,7 +71,8 @@ impl AsicResult {
 }
 
 /// Smallest unfolding whose pipelined feed-forward leaves enough slack to
-/// run the feedback cycle at `V_min`.
+/// run the feedback cycle at `V_min`, with the Horner graph the search
+/// built at that unfolding.
 ///
 /// The original design's clock period is its full critical path at the
 /// initial voltage; the transformed design must only close the (constant)
@@ -83,7 +84,7 @@ fn required_unfolding(
     cfg: &AsicConfig,
     diags: &mut Vec<Diagnostic>,
     cache: &mut SweepCache,
-) -> Result<u32, OptError> {
+) -> Result<(u32, Dfg), OptError> {
     let clock = CriticalPathCost { timing: cfg.timing };
     let base_cp = clock.graph_cost(&build::from_state_space(sys)?).max(1.0);
     let v0 = tech.initial_voltage;
@@ -107,14 +108,11 @@ fn required_unfolding(
     let mut i = ((needed * fb1 / base_cp).ceil() as i64 - 1).max(0) as u32;
     loop {
         i = i.min(cfg.max_unfolding);
-        let fb = cache
-            .horner(i)?
-            .to_dfg()?
-            .feedback_critical_path(&cfg.timing)
-            .max(1.0);
+        let horner = cache.horner(i)?.to_dfg()?;
+        let fb = horner.feedback_critical_path(&cfg.timing).max(1.0);
         let available = (i as f64 + 1.0) * base_cp / fb;
         if available >= needed {
-            return Ok(i);
+            return Ok((i, horner));
         }
         if i >= cfg.max_unfolding {
             diags.push(Diagnostic {
@@ -124,7 +122,7 @@ fn required_unfolding(
                      the {needed:.2}x needed to reach the voltage floor"
                 ),
             });
-            return Ok(i);
+            return Ok((i, horner));
         }
         i += 1;
     }
@@ -174,9 +172,9 @@ pub(crate) struct ScriptArtifacts {
     /// The fixed-script result exactly as [`optimize`] returns it.
     pub result: AsicResult,
     /// The unfolded generalized-Horner graph (pre-MCM, real multipliers).
-    pub horner_dfg: lintra_dfg::Dfg,
+    pub horner_dfg: Dfg,
     /// The post-MCM shift-add graph the script's accounting prices.
-    pub shifted: lintra_dfg::Dfg,
+    pub shifted: Dfg,
 }
 
 pub(crate) fn script_with_graphs(
@@ -199,9 +197,8 @@ pub(crate) fn script_with_graphs(
     });
 
     // Transformed design.
-    let unfolding = required_unfolding(sys, tech, cfg, &mut diagnostics, cache)?;
+    let (unfolding, horner_dfg) = required_unfolding(sys, tech, cfg, &mut diagnostics, cache)?;
     let n = unfolding as u64 + 1;
-    let horner_dfg = cache.horner(unfolding)?.to_dfg()?;
     let (shifted, mcm) = expand_multiplications(
         &horner_dfg,
         McmPassConfig {

@@ -17,7 +17,7 @@
 //! (service code `RES-SATURATION-BUDGET`) records the shortfall — unless
 //! [`SaturateConfig::require_saturation`] demands a fixpoint.
 
-use crate::asic::{script_with_graphs, AsicConfig};
+use crate::asic::{script_with_graphs, AsicConfig, ScriptArtifacts};
 use crate::{DiagCode, Diagnostic, OptError, TechConfig};
 use lintra_dfg::build;
 use lintra_egraph::{EGraph, EgraphError, RuleSet, SaturationBudget, SaturationStats};
@@ -133,19 +133,26 @@ pub fn optimize_cached(
     cfg: &SaturateConfig,
     cache: &mut SweepCache,
 ) -> Result<SaturateResult, OptError> {
-    let art = script_with_graphs(sys, tech, &cfg.asic, cache)?;
-    let script = art.result;
+    let ScriptArtifacts {
+        result: script,
+        horner_dfg,
+        shifted,
+    } = script_with_graphs(sys, tech, &cfg.asic, cache)?;
     let mut diagnostics = script.diagnostics.clone();
 
     // Seed the e-graph with every realization the script flow knows:
     // the Horner form, the plain unfolded multiply-accumulate form, and
     // the §5 shift-add network. Rooting them in the same e-classes makes
-    // each a candidate and lets the rule library recombine them.
-    let (mut eg, roots) = EGraph::from_dfg(&art.horner_dfg)?;
+    // each a candidate and lets the rule library recombine them. Each
+    // graph is dropped once it is in the e-graph, before saturation.
+    let (mut eg, roots) = EGraph::from_dfg(&horner_dfg)?;
+    drop(horner_dfg);
     let unfolded = build::from_unfolded(&cache.unfolded(script.unfolding)?)?;
     let unfolded_roots = eg.add_dfg(&unfolded)?;
+    drop(unfolded);
     eg.union_roots(&roots, &unfolded_roots)?;
-    let script_roots = eg.add_dfg(&art.shifted)?;
+    let script_roots = eg.add_dfg(&shifted)?;
+    drop(shifted);
     eg.union_roots(&roots, &script_roots)?;
 
     let rules = RuleSet::asic(cfg.asic.frac_bits, cfg.asic.recoding);
@@ -261,6 +268,35 @@ mod tests {
         let err = optimize(&d.system, &tech(), &cfg).unwrap_err();
         assert!(matches!(err, OptError::Egraph(EgraphError::Budget { .. })));
         assert!(err.to_string().contains("budget"));
+    }
+
+    #[test]
+    fn a_thread_whose_last_egraph_was_the_largest_gives_the_next_design_the_same_result() {
+        // Each closure runs on a thread of its own, so the first iir5
+        // runs on the tables steam's 5.0 V e-graph (the suite's largest)
+        // left behind, and the second on tables of its own.
+        let iir5_after = |prior: Option<&'static str>| {
+            std::thread::spawn(move || {
+                let tech = TechConfig::dac96(5.0);
+                let cfg = SaturateConfig::default();
+                let before = prior.map(|name| {
+                    let d = by_name(name).unwrap();
+                    optimize(&d.system, &tech, &cfg).unwrap().stats.enodes
+                });
+                let d = by_name("iir5").unwrap();
+                (before, optimize(&d.system, &tech, &cfg).unwrap())
+            })
+            .join()
+            .unwrap()
+        };
+        let (steam_enodes, recycled) = iir5_after(Some("steam"));
+        let (_, fresh) = iir5_after(None);
+        assert!(
+            steam_enodes.unwrap() > fresh.stats.enodes,
+            "steam {steam_enodes:?} vs iir5 {} e-nodes",
+            fresh.stats.enodes
+        );
+        assert_eq!(recycled, fresh);
     }
 
     #[test]

@@ -1406,6 +1406,62 @@ mod tests {
     }
 
     #[test]
+    fn an_admit_executes_before_the_record_it_streams_goes_out() {
+        let mut primary = node("p", &[], None, 1);
+        let hello = ReplMsg::Hello {
+            epoch: 1,
+            have: 0,
+            pcrc: 0,
+            from: "f".to_string(),
+        };
+        assert!(primary.step(ms(0), msg("f", hello)).is_empty());
+        let out = primary.step(ms(1), admit("k"));
+        assert!(
+            matches!(
+                &out[..],
+                [
+                    Output::Execute { rid, .. },
+                    Output::Send(to, ReplMsg::Rec { seq: 1, rid: streamed, .. }),
+                ] if rid == "k" && to == "f" && streamed == "k"
+            ),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_followers_ack_goes_out_before_anything_its_append_streams() {
+        // A follower refuses hellos, so it never streams to a peer; the
+        // stream planted here pins `append`'s order for every caller: the
+        // step's own follow-up first, then the streams.
+        let mut follower = linked("f", &[], 1);
+        follower.core.streams.push(Stream {
+            peer: "g".to_string(),
+            next: 1,
+            acked: 0,
+            last_sent: ms(0),
+        });
+        let rec = ReplMsg::Rec {
+            epoch: 1,
+            seq: 1,
+            crc: crc32(&payload_bytes(RecordKind::Admit, "k", "{}")),
+            kind: RecordKind::Admit,
+            rid: "k".to_string(),
+            line: "{}".to_string(),
+        };
+        let out = follower.step(ms(1), msg("p", rec));
+        assert!(
+            matches!(
+                &out[..],
+                [
+                    Output::Send(to, ReplMsg::Ack { seq: 1 }),
+                    Output::Send(peer, ReplMsg::Rec { seq: 1, .. }),
+                ] if to == "p" && peer == "g"
+            ),
+            "{out:?}"
+        );
+    }
+
+    #[test]
     fn a_slow_follower_holds_at_most_a_window_of_records_in_flight() {
         let records: Vec<JournalRecord> = (0..WINDOW + 44)
             .map(|i| JournalRecord {

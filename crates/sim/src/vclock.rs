@@ -103,13 +103,6 @@ impl ScriptedNet {
             inner.servers.insert(addr.into(), Box::new(responder));
         }
     }
-
-    /// Removes the endpoint; subsequent connects are refused.
-    pub fn kill(&self, addr: &str) {
-        if let Ok(mut inner) = self.inner.lock() {
-            inner.servers.remove(addr);
-        }
-    }
 }
 
 impl Transport for ScriptedNet {

@@ -192,7 +192,7 @@ impl HornerForm {
         let mut g = Dfg::new();
         let mut states: Vec<NodeId> = Vec::with_capacity(r);
         for i in 0..r {
-            states.push(g.push(NodeKind::StateIn { index: i }, vec![])?);
+            states.push(g.push(NodeKind::StateIn { index: i }, &[])?);
         }
         let mut inputs: Vec<Vec<NodeId>> = Vec::with_capacity(self.batch);
         for s in 0..self.batch {
@@ -203,7 +203,7 @@ impl HornerForm {
                         sample: s,
                         channel: ch,
                     },
-                    vec![],
+                    &[],
                 )?);
             }
             inputs.push(row);
@@ -236,7 +236,7 @@ impl HornerForm {
                         sample: j,
                         channel: row,
                     },
-                    vec![root],
+                    &[root],
                 )?;
             }
             // V_j = A V_{j-1} + B U_j.
@@ -272,7 +272,7 @@ impl HornerForm {
                 terms.push(build::plain_term(vn));
             }
             let root = build::sum_to_node(&mut g, terms)?;
-            g.push(NodeKind::StateOut { index: row }, vec![root])?;
+            g.push(NodeKind::StateOut { index: row }, &[root])?;
         }
         g.validate()?;
         Ok(g)

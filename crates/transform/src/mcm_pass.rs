@@ -73,7 +73,7 @@ impl GroupEmitter {
         };
         let shifted = if t.shift != 0 {
             report.shifts_inserted += 1;
-            g.push(NodeKind::Shift(t.shift as i32), vec![src])?
+            g.push(NodeKind::Shift(t.shift as i32), &[src])?
         } else {
             src
         };
@@ -99,10 +99,10 @@ impl GroupEmitter {
                 Some((prev, prev_neg)) => {
                     report.adds_inserted += 1;
                     match (prev_neg, neg) {
-                        (false, false) => (g.push(NodeKind::Add, vec![prev, node])?, false),
-                        (false, true) => (g.push(NodeKind::Sub, vec![prev, node])?, false),
-                        (true, false) => (g.push(NodeKind::Sub, vec![node, prev])?, false),
-                        (true, true) => (g.push(NodeKind::Add, vec![prev, node])?, true),
+                        (false, false) => (g.push(NodeKind::Add, &[prev, node])?, false),
+                        (false, true) => (g.push(NodeKind::Sub, &[prev, node])?, false),
+                        (true, false) => (g.push(NodeKind::Sub, &[node, prev])?, false),
+                        (true, true) => (g.push(NodeKind::Add, &[prev, node])?, true),
                     }
                 }
             });
@@ -111,10 +111,10 @@ impl GroupEmitter {
         // constant rather than trusting that invariant with a panic.
         let (node, neg) = match acc {
             Some(v) => v,
-            None => (g.push(NodeKind::Const(0.0), vec![])?, false),
+            None => (g.push(NodeKind::Const(0.0), &[])?, false),
         };
         let node = if neg {
-            g.push(NodeKind::Neg, vec![node])?
+            g.push(NodeKind::Neg, &[node])?
         } else {
             node
         };
@@ -135,7 +135,7 @@ impl GroupEmitter {
         let idx = self.outputs[&q];
         let (_, output) = self.plan.outputs[idx];
         match output {
-            OutputRef::Zero => g.push(NodeKind::Const(0.0), vec![]),
+            OutputRef::Zero => g.push(NodeKind::Const(0.0), &[]),
             OutputRef::Scaled(t) => {
                 let src = match t.source {
                     Source::Input => base,
@@ -145,12 +145,12 @@ impl GroupEmitter {
                 let total_shift = t.shift as i32 - frac_bits as i32;
                 let shifted = if total_shift != 0 {
                     report.shifts_inserted += 1;
-                    g.push(NodeKind::Shift(total_shift), vec![src])?
+                    g.push(NodeKind::Shift(total_shift), &[src])?
                 } else {
                     src
                 };
                 if t.neg {
-                    g.push(NodeKind::Neg, vec![shifted])
+                    g.push(NodeKind::Neg, &[shifted])
                 } else {
                     Ok(shifted)
                 }
@@ -218,7 +218,10 @@ pub fn expand_multiplications(
     let mut out = Dfg::new();
     let mut remap: Vec<NodeId> = Vec::with_capacity(g.len());
     for (_, n) in g.iter() {
-        let preds: Vec<NodeId> = n.preds.iter().map(|p| remap[p.0]).collect();
+        let mut preds = n.preds;
+        for p in preds.iter_mut() {
+            *p = remap[p.0];
+        }
         let new_id = match (n.kind, n.preds.first()) {
             (NodeKind::MulConst(c), Some(pred)) => {
                 let pred_old = pred.0;
@@ -231,10 +234,10 @@ pub fn expand_multiplications(
                     }
                     // Grouping is keyed by predecessor, so the group always
                     // exists; keep the multiplier if it somehow does not.
-                    None => out.push(n.kind, preds)?,
+                    None => out.push(n.kind, &preds)?,
                 }
             }
-            (kind, _) => out.push(kind, preds)?,
+            (kind, _) => out.push(kind, &preds)?,
         };
         remap.push(new_id);
     }
@@ -323,18 +326,18 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m1 = g.push(NodeKind::MulConst(185.0 / 256.0), vec![x]).unwrap();
-        let m2 = g.push(NodeKind::MulConst(235.0 / 256.0), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m1, m2]).unwrap();
+        let m1 = g.push(NodeKind::MulConst(185.0 / 256.0), &[x]).unwrap();
+        let m2 = g.push(NodeKind::MulConst(235.0 / 256.0), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[m1, m2]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![a],
+            &[a],
         )
         .unwrap();
 
@@ -367,7 +370,7 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         let y = g
@@ -376,18 +379,18 @@ mod tests {
                     sample: 0,
                     channel: 1,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m1 = g.push(NodeKind::MulConst(0.375), vec![x]).unwrap();
-        let m2 = g.push(NodeKind::MulConst(0.375), vec![y]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m1, m2]).unwrap();
+        let m1 = g.push(NodeKind::MulConst(0.375), &[x]).unwrap();
+        let m2 = g.push(NodeKind::MulConst(0.375), &[y]).unwrap();
+        let a = g.push(NodeKind::Add, &[m1, m2]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![a],
+            &[a],
         )
         .unwrap();
         let (_, report) = expand_multiplications(&g, McmPassConfig::default()).unwrap();
@@ -403,18 +406,18 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m1 = g.push(NodeKind::MulConst(-0.5), vec![x]).unwrap();
-        let m2 = g.push(NodeKind::MulConst(2.0), vec![x]).unwrap();
-        let a = g.push(NodeKind::Add, vec![m1, m2]).unwrap();
+        let m1 = g.push(NodeKind::MulConst(-0.5), &[x]).unwrap();
+        let m2 = g.push(NodeKind::MulConst(2.0), &[x]).unwrap();
+        let a = g.push(NodeKind::Add, &[m1, m2]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![a],
+            &[a],
         )
         .unwrap();
         let (h, report) = expand_multiplications(
@@ -441,12 +444,12 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
-        let a = g.push(NodeKind::Add, vec![x, s]).unwrap();
-        g.push(NodeKind::StateOut { index: 0 }, vec![a]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
+        let a = g.push(NodeKind::Add, &[x, s]).unwrap();
+        g.push(NodeKind::StateOut { index: 0 }, &[a]).unwrap();
         let (h, report) = expand_multiplications(&g, McmPassConfig::default()).unwrap();
         assert_eq!(report.muls_removed, 0);
         assert_eq!(report.groups, 0);

@@ -104,8 +104,8 @@ pub fn insert_registers(
 
     for (id, node) in g.iter() {
         let my_stage = stage_of(finish[id.0]);
-        let mut preds: Vec<NodeId> = Vec::with_capacity(node.preds.len());
-        for p in &node.preds {
+        let mut preds = node.preds;
+        for (slot, p) in preds.iter_mut().zip(&node.preds) {
             let mut src = remap[p.0];
             let crossings = my_stage - stage_of(finish[p.0]);
             if crossings > 0 && !(fb[p.0] && fb[id.0]) {
@@ -119,16 +119,16 @@ pub fn insert_registers(
                             } else {
                                 reg_cache[&(p.0, step - 1)]
                             };
-                            let reg = out.push(NodeKind::Delay, vec![prev])?;
+                            let reg = out.push(NodeKind::Delay, &[prev])?;
                             reg_cache.insert((p.0, step), reg);
                             reg
                         }
                     };
                 }
             }
-            preds.push(src);
+            *slot = src;
         }
-        remap.push(out.push(node.kind, preds)?);
+        remap.push(out.push(node.kind, &preds)?);
     }
 
     let cp_after = out.critical_path(timing);
@@ -158,19 +158,19 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         let mut acc = x;
         for _ in 0..n {
-            acc = g.push(NodeKind::MulConst(0.9), vec![acc]).unwrap();
+            acc = g.push(NodeKind::MulConst(0.9), &[acc]).unwrap();
         }
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![acc],
+            &[acc],
         )
         .unwrap();
         g
@@ -199,24 +199,24 @@ mod tests {
     fn feedback_section_is_never_cut() {
         // s' = 0.9*(s + x): the mul/add are in the feedback loop.
         let mut g = Dfg::new();
-        let s = g.push(NodeKind::StateIn { index: 0 }, vec![]).unwrap();
+        let s = g.push(NodeKind::StateIn { index: 0 }, &[]).unwrap();
         let x = g
             .push(
                 NodeKind::Input {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
         // Long feed-forward preprocessing of x.
         let mut xa = x;
         for _ in 0..6 {
-            xa = g.push(NodeKind::MulConst(1.1), vec![xa]).unwrap();
+            xa = g.push(NodeKind::MulConst(1.1), &[xa]).unwrap();
         }
-        let sum = g.push(NodeKind::Add, vec![s, xa]).unwrap();
-        let m = g.push(NodeKind::MulConst(0.9), vec![sum]).unwrap();
-        g.push(NodeKind::StateOut { index: 0 }, vec![m]).unwrap();
+        let sum = g.push(NodeKind::Add, &[s, xa]).unwrap();
+        let m = g.push(NodeKind::MulConst(0.9), &[sum]).unwrap();
+        g.push(NodeKind::StateOut { index: 0 }, &[m]).unwrap();
         let t = OpTiming {
             t_mul: 1.0,
             t_add: 1.0,
@@ -243,23 +243,23 @@ mod tests {
                     sample: 0,
                     channel: 0,
                 },
-                vec![],
+                &[],
             )
             .unwrap();
-        let m = g.push(NodeKind::MulConst(2.0), vec![x]).unwrap();
+        let m = g.push(NodeKind::MulConst(2.0), &[x]).unwrap();
         let mut deep = x;
         for _ in 0..4 {
-            deep = g.push(NodeKind::MulConst(1.5), vec![deep]).unwrap();
+            deep = g.push(NodeKind::MulConst(1.5), &[deep]).unwrap();
         }
-        let a1 = g.push(NodeKind::Add, vec![m, deep]).unwrap();
-        let a2 = g.push(NodeKind::Add, vec![m, deep]).unwrap();
-        let s = g.push(NodeKind::Add, vec![a1, a2]).unwrap();
+        let a1 = g.push(NodeKind::Add, &[m, deep]).unwrap();
+        let a2 = g.push(NodeKind::Add, &[m, deep]).unwrap();
+        let s = g.push(NodeKind::Add, &[a1, a2]).unwrap();
         g.push(
             NodeKind::Output {
                 sample: 0,
                 channel: 0,
             },
-            vec![s],
+            &[s],
         )
         .unwrap();
         let t = OpTiming {

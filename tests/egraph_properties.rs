@@ -202,20 +202,17 @@ fn random_mixed_graph(rng: &mut SplitMix64) -> Dfg {
     let mut g = Dfg::new();
     let mut pool: Vec<NodeId> = Vec::new();
     for channel in 0..p {
-        pool.push(
-            g.push(NodeKind::Input { sample: 0, channel }, vec![])
-                .unwrap(),
-        );
+        pool.push(g.push(NodeKind::Input { sample: 0, channel }, &[]).unwrap());
     }
     for index in 0..r {
-        pool.push(g.push(NodeKind::StateIn { index }, vec![]).unwrap());
+        pool.push(g.push(NodeKind::StateIn { index }, &[]).unwrap());
     }
     pool.push(
-        g.push(NodeKind::Const(rng.range_f64(-2.0, 2.0)), vec![])
+        g.push(NodeKind::Const(rng.range_f64(-2.0, 2.0)), &[])
             .unwrap(),
     );
     if rng.next_bool() {
-        pool.push(g.push(NodeKind::Const(0.0), vec![]).unwrap());
+        pool.push(g.push(NodeKind::Const(0.0), &[]).unwrap());
     }
 
     let ops = rng.next_below(9) as usize + 4;
@@ -223,8 +220,8 @@ fn random_mixed_graph(rng: &mut SplitMix64) -> Dfg {
         let a = pool[rng.next_below(pool.len() as u64) as usize];
         let b = pool[rng.next_below(pool.len() as u64) as usize];
         let node = match rng.next_below(6) {
-            0 => g.push(NodeKind::Add, vec![a, b]),
-            1 => g.push(NodeKind::Sub, vec![a, b]),
+            0 => g.push(NodeKind::Add, &[a, b]),
+            1 => g.push(NodeKind::Sub, &[a, b]),
             2 => {
                 let c = match rng.next_below(5) {
                     0 => 1.0,
@@ -233,23 +230,23 @@ fn random_mixed_graph(rng: &mut SplitMix64) -> Dfg {
                     3 => -0.5,
                     _ => rng.range_f64(-3.0, 3.0),
                 };
-                g.push(NodeKind::MulConst(c), vec![a])
+                g.push(NodeKind::MulConst(c), &[a])
             }
-            3 => g.push(NodeKind::Shift(rng.range_i64(-2, 3) as i32), vec![a]),
-            4 => g.push(NodeKind::Neg, vec![a]),
-            _ => g.push(NodeKind::Delay, vec![a]),
+            3 => g.push(NodeKind::Shift(rng.range_i64(-2, 3) as i32), &[a]),
+            4 => g.push(NodeKind::Neg, &[a]),
+            _ => g.push(NodeKind::Delay, &[a]),
         };
         pool.push(node.unwrap());
     }
 
     for channel in 0..q {
         let src = pool[pool.len() - 1 - rng.next_below((pool.len() / 2) as u64 + 1) as usize];
-        g.push(NodeKind::Output { sample: 0, channel }, vec![src])
+        g.push(NodeKind::Output { sample: 0, channel }, &[src])
             .unwrap();
     }
     for index in 0..r {
         let src = pool[rng.next_below(pool.len() as u64) as usize];
-        g.push(NodeKind::StateOut { index }, vec![src]).unwrap();
+        g.push(NodeKind::StateOut { index }, &[src]).unwrap();
     }
     g
 }
@@ -302,44 +299,44 @@ fn minimal_graph_for(rule: &Rule) -> Dfg {
                 sample: 0,
                 channel: 0,
             },
-            vec![],
+            &[],
         )
         .unwrap();
     let sink = match rule {
         Rule::AddCommute => {
             let y = input(&mut g, 1);
-            g.push(NodeKind::Add, vec![x, y]).unwrap()
+            g.push(NodeKind::Add, &[x, y]).unwrap()
         }
         Rule::SubToAddNeg => {
             let y = input(&mut g, 1);
-            g.push(NodeKind::Sub, vec![x, y]).unwrap()
+            g.push(NodeKind::Sub, &[x, y]).unwrap()
         }
         Rule::NegNeg => {
-            let n1 = g.push(NodeKind::Neg, vec![x]).unwrap();
-            g.push(NodeKind::Neg, vec![n1]).unwrap()
+            let n1 = g.push(NodeKind::Neg, &[x]).unwrap();
+            g.push(NodeKind::Neg, &[n1]).unwrap()
         }
-        Rule::MulOne => g.push(NodeKind::MulConst(1.0), vec![x]).unwrap(),
-        Rule::MulPow2 => g.push(NodeKind::MulConst(4.0), vec![x]).unwrap(),
+        Rule::MulOne => g.push(NodeKind::MulConst(1.0), &[x]).unwrap(),
+        Rule::MulPow2 => g.push(NodeKind::MulConst(4.0), &[x]).unwrap(),
         Rule::ShiftFuse => {
-            let s1 = g.push(NodeKind::Shift(1), vec![x]).unwrap();
-            g.push(NodeKind::Shift(2), vec![s1]).unwrap()
+            let s1 = g.push(NodeKind::Shift(1), &[x]).unwrap();
+            g.push(NodeKind::Shift(2), &[s1]).unwrap()
         }
         Rule::AddZero => {
-            let zero = g.push(NodeKind::Const(0.0), vec![]).unwrap();
-            g.push(NodeKind::Add, vec![x, zero]).unwrap()
+            let zero = g.push(NodeKind::Const(0.0), &[]).unwrap();
+            g.push(NodeKind::Add, &[x, zero]).unwrap()
         }
         // 0.75 = 2⁻¹ + 2⁻² recodes in CSD to 2⁰ − 2⁻², one subtraction.
-        Rule::CsdDecompose { .. } => g.push(NodeKind::MulConst(0.75), vec![x]).unwrap(),
+        Rule::CsdDecompose { .. } => g.push(NodeKind::MulConst(0.75), &[x]).unwrap(),
         Rule::CollectLinear => {
             // 5x as a shift-add chain; collection grows the 5·x hub.
-            let s2 = g.push(NodeKind::Shift(2), vec![x]).unwrap();
-            g.push(NodeKind::Add, vec![s2, x]).unwrap()
+            let s2 = g.push(NodeKind::Shift(2), &[x]).unwrap();
+            g.push(NodeKind::Add, &[s2, x]).unwrap()
         }
         // Two multipliers off one base: sharing synthesizes one plan.
         Rule::McmShare { .. } => {
-            let m1 = g.push(NodeKind::MulConst(0.75), vec![x]).unwrap();
-            let m2 = g.push(NodeKind::MulConst(1.5), vec![x]).unwrap();
-            g.push(NodeKind::Add, vec![m1, m2]).unwrap()
+            let m1 = g.push(NodeKind::MulConst(0.75), &[x]).unwrap();
+            let m2 = g.push(NodeKind::MulConst(1.5), &[x]).unwrap();
+            g.push(NodeKind::Add, &[m1, m2]).unwrap()
         }
     };
     g.push(
@@ -347,15 +344,14 @@ fn minimal_graph_for(rule: &Rule) -> Dfg {
             sample: 0,
             channel: 0,
         },
-        vec![sink],
+        &[sink],
     )
     .unwrap();
     g
 }
 
 fn input(g: &mut Dfg, channel: usize) -> NodeId {
-    g.push(NodeKind::Input { sample: 0, channel }, vec![])
-        .unwrap()
+    g.push(NodeKind::Input { sample: 0, channel }, &[]).unwrap()
 }
 
 /// Every rule, alone on its minimal graph: saturation terminates, the
